@@ -1,33 +1,41 @@
 //! Per-group constraint provenance (the `fast_apply` side-table).
 //!
 //! A solver serving non-monotone deltas needs to answer, per graph fact,
-//! "which constraint groups does this fact's derivation depend on?". Tagging
-//! every edge with a full group *set* would be ruinously wide, so provenance
-//! is interned: a [`ProvId`] is a handle into a [`ProvTable`] that stores
-//! each distinct sorted group-id set exactly once. Edges carry a 4-byte
-//! `ProvId` in side arrays kept positionally parallel to the adjacency
-//! lists (see `Solver`'s prov mirrors), not a per-edge enum.
+//! "which constraint groups does this fact's derivation depend on?". Edges
+//! carry a 4-byte [`ProvId`] in side arrays kept positionally parallel to
+//! the adjacency lists (see `Solver`'s prov mirrors), not a per-edge set.
 //!
-//! Derived facts union the provenance of their premises
-//! ([`ProvTable::union`], memoized pairwise), so the invariant the
-//! `fast_apply` retraction relies on is *transitive*: if group `g` is not in
-//! `prov(e)`, then the derivation of `e` that the solver recorded used no
-//! fact of `g` anywhere in its tree, and `e` survives retracting `g`
+//! A `ProvId` names a node of an append-only **union DAG** ([`ProvTable`]):
+//! a node is either a leaf (one group, or *atom*) or the union of two
+//! earlier nodes. The atom set of `p` is the set of leaves reachable from
+//! `p`. [`ProvTable::union`] is O(1) — it pushes one node — so tracking adds
+//! a constant per derived fact to the solve, with no merging, interning or
+//! width limit: a fact downstream of hundreds of groups stays exact.
+//!
+//! Derived facts union the provenance of their premises, so the invariant
+//! the `fast_apply` retraction relies on is *transitive*: if group `g` is
+//! not in `prov(e)`, then the derivation of `e` that the solver recorded
+//! used no fact of `g` anywhere in its tree, and `e` survives retracting `g`
 //! unchanged. The converse does **not** hold — the solver records only the
 //! *first* derivation of each fact, so a fact may carry `g` while another,
 //! `g`-free derivation exists. Retraction therefore over-deletes and
 //! re-derives (delete-and-rederive), which is sound.
 //!
+//! Membership is asked once per retraction, not once per edge: children
+//! always precede their parents, so one ascending pass over the nodes
+//! ([`ProvTable::retraction_mask`]) marks every id that reaches a retracted
+//! atom, and each edge is then tested with one bit read
+//! ([`ProvMask::hits`]).
+//!
 //! Two sentinel ids bound the lattice: [`ProvTable::EMPTY`] (no group — facts
 //! added outside any group, never retracted) and [`ProvTable::TOP`]
-//! ("depends on everything" — the saturation value for sets wider than
-//! [`MAX_PROV_GROUPS`] and for derivations whose premises cannot be
-//! attributed exactly, such as offline cycle-elimination sweeps). `TOP`
-//! intersects every retraction, forcing the conservative fallback path.
+//! ("depends on everything" — for derivations whose premises cannot be
+//! attributed, such as offline cycle-elimination sweeps). `TOP` hits every
+//! non-empty retraction, forcing the conservative fallback path.
 
-use bane_util::FxHashMap;
+use bane_util::{BitSet, FxHashMap};
 
-/// Interned handle to a sorted set of group ids in a [`ProvTable`].
+/// Handle to a node of a [`ProvTable`]: the set of atoms reachable from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProvId(u32);
 
@@ -38,22 +46,20 @@ impl ProvId {
     }
 }
 
-/// Group-set width beyond which a provenance saturates to
-/// [`ProvTable::TOP`]. Keeps pathological unions (a fact downstream of
-/// hundreds of groups) from blowing up table memory; saturation is sound —
-/// it only widens the set of retractions that fall back to replay.
-pub const MAX_PROV_GROUPS: usize = 64;
+/// One DAG node. Children of a `Union` are always earlier ids.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    /// The two sentinels, which reach no leaf.
+    Sentinel,
+    Leaf(u32),
+    Union(ProvId, ProvId),
+}
 
-/// The provenance interner: each distinct sorted group-id set stored once.
+/// The provenance union DAG: leaves are interned per atom, unions appended.
 #[derive(Clone, Debug)]
 pub struct ProvTable {
-    /// Concatenated sorted group ids; `spans[p]` delimits set `p`.
-    ids: Vec<u32>,
-    spans: Vec<(u32, u32)>,
-    lookup: FxHashMap<Vec<u32>, ProvId>,
-    /// Pairwise union results, keyed with the smaller id first.
-    union_memo: FxHashMap<(ProvId, ProvId), ProvId>,
-    scratch: Vec<u32>,
+    nodes: Vec<Node>,
+    leaves: FxHashMap<u32, ProvId>,
 }
 
 impl Default for ProvTable {
@@ -64,71 +70,46 @@ impl Default for ProvTable {
 
 impl ProvTable {
     /// The empty set: facts attributed to no group. Identity of
-    /// [`union`](ProvTable::union); never intersects a retraction.
+    /// [`union`](ProvTable::union); never hit by a retraction.
     pub const EMPTY: ProvId = ProvId(0);
-    /// The saturated "all groups" set. Absorbing under union; intersects
-    /// every retraction.
+    /// The "all groups" set. Absorbing under union; hit by every non-empty
+    /// retraction.
     pub const TOP: ProvId = ProvId(1);
 
     /// A table holding only the two sentinels.
     pub fn new() -> Self {
-        let mut t = ProvTable {
-            ids: Vec::new(),
-            spans: Vec::new(),
-            lookup: FxHashMap::default(),
-            union_memo: FxHashMap::default(),
-            scratch: Vec::new(),
-        };
-        // Slot 0: EMPTY, slot 1: TOP. Neither is reachable through `lookup`
-        // (TOP is not a concrete id list), so they are pushed by hand.
-        t.spans.push((0, 0));
-        t.spans.push((0, 0));
-        t.lookup.insert(Vec::new(), Self::EMPTY);
-        t
+        ProvTable {
+            nodes: vec![Node::Sentinel, Node::Sentinel],
+            leaves: FxHashMap::default(),
+        }
     }
 
-    /// Number of interned sets (including the sentinels).
+    /// Number of nodes (including the sentinels).
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.nodes.len()
     }
 
     /// Whether only the sentinels exist.
     pub fn is_empty(&self) -> bool {
-        self.spans.len() <= 2
+        self.nodes.len() <= 2
     }
 
-    /// The interned singleton `{group}`.
-    pub fn singleton(&mut self, group: u32) -> ProvId {
-        self.intern_sorted(&[group])
+    /// The leaf `{atom}` (one per atom).
+    pub fn singleton(&mut self, atom: u32) -> ProvId {
+        let next = ProvId(self.nodes.len() as u32);
+        let id = *self.leaves.entry(atom).or_insert(next);
+        if id == next {
+            self.nodes.push(Node::Leaf(atom));
+        }
+        id
     }
 
-    /// The members of `p`, sorted. `TOP` reports an empty slice — callers
-    /// must branch on [`is_top`](ProvTable::is_top) first when it matters.
-    pub fn members(&self, p: ProvId) -> &[u32] {
-        let (lo, hi) = self.spans[p.0 as usize];
-        &self.ids[lo as usize..hi as usize]
-    }
-
-    /// Whether `p` is the saturated sentinel.
+    /// Whether `p` is the `TOP` sentinel.
     pub fn is_top(&self, p: ProvId) -> bool {
         p == Self::TOP
     }
 
-    /// Whether group `g` is in `p` (`TOP` contains everything).
-    pub fn contains(&self, p: ProvId, g: u32) -> bool {
-        p == Self::TOP || self.members(p).binary_search(&g).is_ok()
-    }
-
-    /// Whether `p` intersects the sorted-or-not id list `groups`.
-    pub fn intersects(&self, p: ProvId, groups: &[u32]) -> bool {
-        if p == Self::TOP {
-            return !groups.is_empty();
-        }
-        groups.iter().any(|&g| self.contains(p, g))
-    }
-
-    /// The interned union of `a` and `b` (memoized; saturates to
-    /// [`TOP`](ProvTable::TOP) past [`MAX_PROV_GROUPS`]).
+    /// The union of `a` and `b`: one new node unless an identity applies.
     pub fn union(&mut self, a: ProvId, b: ProvId) -> ProvId {
         if a == b || b == Self::EMPTY {
             return a;
@@ -139,56 +120,69 @@ impl ProvTable {
         if a == Self::TOP || b == Self::TOP {
             return Self::TOP;
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&hit) = self.union_memo.get(&key) {
-            return hit;
-        }
-        let mut merged = std::mem::take(&mut self.scratch);
-        merged.clear();
-        {
-            let (xs, ys) = (self.members(a), self.members(b));
-            let (mut i, mut j) = (0, 0);
-            while i < xs.len() && j < ys.len() {
-                match xs[i].cmp(&ys[j]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(xs[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(ys[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(xs[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
+        let id = ProvId(self.nodes.len() as u32);
+        self.nodes.push(Node::Union(a, b));
+        id
+    }
+
+    /// The atoms of `p`, sorted. `TOP` reports an empty list — callers must
+    /// branch on [`is_top`](ProvTable::is_top) first when it matters. Walks
+    /// the sub-DAG: meant for inspection, not for hot paths.
+    pub fn members(&self, p: ProvId) -> Vec<u32> {
+        let mut seen = BitSet::new(self.nodes.len());
+        let mut stack = vec![p];
+        let mut out = Vec::new();
+        while let Some(q) = stack.pop() {
+            if !seen.insert(q.0 as usize) {
+                continue;
             }
-            merged.extend_from_slice(&xs[i..]);
-            merged.extend_from_slice(&ys[j..]);
+            match self.nodes[q.0 as usize] {
+                Node::Sentinel => {}
+                Node::Leaf(atom) => out.push(atom),
+                Node::Union(a, b) => stack.extend([a, b]),
+            }
         }
-        let out = if merged.len() > MAX_PROV_GROUPS {
-            Self::TOP
-        } else {
-            self.intern_sorted(&merged)
-        };
-        self.scratch = merged;
-        self.union_memo.insert(key, out);
+        out.sort_unstable();
         out
     }
 
-    fn intern_sorted(&mut self, sorted: &[u32]) -> ProvId {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        if let Some(&hit) = self.lookup.get(sorted) {
-            return hit;
+    /// Marks every id whose atom set intersects `atoms` (sorted or not):
+    /// one ascending pass, since children precede parents.
+    pub fn retraction_mask(&self, atoms: &[u32]) -> ProvMask {
+        let mut sorted = atoms.to_vec();
+        sorted.sort_unstable();
+        let mut bits = BitSet::new(self.nodes.len());
+        if sorted.is_empty() {
+            return ProvMask { bits };
         }
-        let lo = self.ids.len() as u32;
-        self.ids.extend_from_slice(sorted);
-        let id = ProvId(self.spans.len() as u32);
-        self.spans.push((lo, self.ids.len() as u32));
-        self.lookup.insert(sorted.to_vec(), id);
-        id
+        bits.insert(Self::TOP.0 as usize);
+        for (i, node) in self.nodes.iter().enumerate() {
+            let hit = match *node {
+                Node::Sentinel => false,
+                Node::Leaf(atom) => sorted.binary_search(&atom).is_ok(),
+                Node::Union(a, b) => bits.contains(a.0 as usize) || bits.contains(b.0 as usize),
+            };
+            if hit {
+                bits.insert(i);
+            }
+        }
+        ProvMask { bits }
+    }
+}
+
+/// The ids of a [`ProvTable`] that reach a retracted atom, as computed by
+/// [`ProvTable::retraction_mask`]. Ids created after the mask read as
+/// misses.
+#[derive(Clone, Debug)]
+pub struct ProvMask {
+    bits: BitSet,
+}
+
+impl ProvMask {
+    /// Whether `p` depends on a retracted atom.
+    #[inline]
+    pub fn hits(&self, p: ProvId) -> bool {
+        self.bits.contains(p.0 as usize)
     }
 }
 
@@ -202,41 +196,50 @@ mod tests {
         assert!(t.is_empty());
         let a = t.singleton(3);
         let a2 = t.singleton(3);
-        assert_eq!(a, a2, "interning dedups");
-        assert!(t.contains(a, 3));
-        assert!(!t.contains(a, 4));
-        assert!(!t.contains(ProvTable::EMPTY, 3));
-        assert!(t.contains(ProvTable::TOP, 3));
-        assert!(t.intersects(ProvTable::TOP, &[9]));
-        assert!(!t.intersects(ProvTable::TOP, &[]));
+        assert_eq!(a, a2, "one leaf per atom");
+        assert_eq!(t.members(a), [3]);
+        let m = t.retraction_mask(&[3]);
+        assert!(m.hits(a));
+        assert!(!m.hits(ProvTable::EMPTY));
+        assert!(m.hits(ProvTable::TOP));
+        assert!(!t.retraction_mask(&[4]).hits(a));
+        assert!(t.retraction_mask(&[9]).hits(ProvTable::TOP));
+        assert!(!t.retraction_mask(&[]).hits(ProvTable::TOP));
     }
 
     #[test]
-    fn union_merges_memoizes_and_respects_identities() {
+    fn union_respects_identities() {
         let mut t = ProvTable::new();
         let a = t.singleton(1);
         let b = t.singleton(5);
         let ab = t.union(a, b);
-        assert_eq!(t.members(ab), &[1, 5]);
-        assert_eq!(t.union(b, a), ab, "commutative via memo + interning");
-        assert_eq!(t.union(ab, a), ab, "absorbs subset");
+        assert_eq!(t.members(ab), [1, 5]);
+        let aba = t.union(ab, a);
+        assert_eq!(t.members(aba), [1, 5], "absorbs subset");
+        assert_eq!(t.union(ab, ab), ab);
         assert_eq!(t.union(ProvTable::EMPTY, b), b);
         assert_eq!(t.union(b, ProvTable::EMPTY), b);
         assert_eq!(t.union(ProvTable::TOP, b), ProvTable::TOP);
-        let before = t.len();
-        let _ = t.union(a, b);
-        assert_eq!(t.len(), before, "memoized union interns nothing new");
+        assert_eq!(t.union(b, ProvTable::TOP), ProvTable::TOP);
+        let m = t.retraction_mask(&[5]);
+        assert!(m.hits(ab) && m.hits(b) && !m.hits(a));
     }
 
+    /// Unions of any width stay exact: there is no saturation to `TOP`.
     #[test]
-    fn wide_unions_saturate_to_top() {
+    fn wide_unions_stay_exact() {
         let mut t = ProvTable::new();
         let mut acc = ProvTable::EMPTY;
-        for g in 0..(MAX_PROV_GROUPS as u32 + 1) {
+        for g in 0..100 {
             let s = t.singleton(g);
             acc = t.union(acc, s);
         }
-        assert!(t.is_top(acc));
-        assert!(t.intersects(acc, &[MAX_PROV_GROUPS as u32 + 100]));
+        assert!(!t.is_top(acc));
+        assert_eq!(t.members(acc), (0..100).collect::<Vec<_>>());
+        assert!(t.retraction_mask(&[37]).hits(acc), "a member atom hits");
+        assert!(
+            !t.retraction_mask(&[100, 500]).hits(acc),
+            "outside atoms miss"
+        );
     }
 }

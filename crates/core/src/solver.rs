@@ -278,7 +278,7 @@ struct ProvState {
     /// locally undone (the forwarding is permanent), forcing full replay.
     collapse_log: Vec<ProvId>,
     /// Justification computed by the online search for the collapse it is
-    /// about to request; `None` (→ saturated `TOP`) for offline sweeps.
+    /// about to request; `None` (→ `TOP`) for offline sweeps.
     next_justification: Option<ProvId>,
     /// Parallel to `Solver::errors`.
     error_prov: Vec<ProvId>,
@@ -592,28 +592,23 @@ impl Solver {
         }
     }
 
-    /// Whether retracting `groups` would invalidate a recorded cycle
-    /// collapse.
-    ///
-    /// Collapses rewrite the graph irreversibly — members forward to the
-    /// witness and their edges are merged — so a retraction intersecting any
-    /// collapse justification cannot be repaired in place; the caller must
-    /// fall back to full replay. Conservatively `true` without provenance.
-    pub fn retraction_invalidates_collapse(&self, groups: &[u32]) -> bool {
-        match &self.prov {
-            Some(p) => p.collapse_log.iter().any(|&j| p.table.intersects(j, groups)),
-            None => true,
-        }
-    }
-
     /// Recorded collapse justifications (one provenance per collapse).
     pub fn collapse_log_len(&self) -> usize {
         self.prov.as_ref().map_or(0, |p| p.collapse_log.len())
     }
 
-    /// Deletes every graph fact whose recorded derivation intersects
-    /// `groups`, plus the inconsistencies attributed to them. Returns the
-    /// number of removed adjacency entries.
+    /// Retracts the provenance atoms `atoms`: deletes every graph fact
+    /// whose recorded derivation depends on one of them, plus the
+    /// inconsistencies attributed to them. Returns the number of removed
+    /// adjacency entries, or `None` — with nothing changed — when the
+    /// retraction would invalidate a recorded cycle collapse.
+    ///
+    /// Collapses rewrite the graph irreversibly (members forward to the
+    /// witness and their edges are merged), so a retraction hitting any
+    /// collapse justification cannot be repaired in place; the caller must
+    /// fall back to full replay. Both the gate and the deletion read one
+    /// [`ProvMask`](crate::prov::ProvMask) computed up front, so each edge
+    /// costs one bit test.
     ///
     /// This over-deletes by design: only the *first* derivation of each fact
     /// is recorded, so a fact is dropped even when a surviving derivation
@@ -623,10 +618,8 @@ impl Solver {
     ///
     /// # Panics
     ///
-    /// Panics without provenance tracking or with a non-empty worklist;
-    /// [`retraction_invalidates_collapse`](Solver::retraction_invalidates_collapse)
-    /// must be `false` for the repair to be meaningful (debug-asserted).
-    pub fn retract_groups(&mut self, groups: &[u32]) -> u64 {
+    /// Panics without provenance tracking or with a non-empty worklist.
+    pub fn retract_groups(&mut self, atoms: &[u32]) -> Option<u64> {
         assert!(
             self.pending.is_empty(),
             "retract_groups requires a drained worklist"
@@ -634,12 +627,15 @@ impl Solver {
         let Some(p) = &mut self.prov else {
             panic!("retract_groups requires enable_provenance");
         };
-        debug_assert!(
-            !p.collapse_log.iter().any(|&j| p.table.intersects(j, groups)),
-            "retraction invalidates a collapse; caller must replay instead"
-        );
+        if atoms.is_empty() {
+            return Some(0);
+        }
+        let mask = p.table.retraction_mask(atoms);
+        if p.collapse_log.iter().any(|&j| mask.hits(j)) {
+            return None;
+        }
         let mut removed = 0u64;
-        let ProvState { table, nodes, error_prov, damaged, .. } = &mut **p;
+        let ProvState { nodes, error_prov, damaged, .. } = &mut **p;
         for (i, mirror) in nodes.iter_mut().enumerate() {
             let v = Var::new(i);
             let at_v = removed;
@@ -651,33 +647,31 @@ impl Solver {
             removed += self
                 .graph
                 .retain_pred_vars(v, |pos, l| {
-                    let keep = !table.intersects(mirror.pred_vars[pos], groups);
+                    let keep = !mask.hits(mirror.pred_vars[pos]);
                     if !keep {
                         damaged.push(l);
                     }
                     keep
                 }) as u64;
-            mirror.pred_vars.retain(|&pr| !table.intersects(pr, groups));
+            mirror.pred_vars.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
                 .retain_succ_vars(v, |pos, r| {
-                    let keep = !table.intersects(mirror.succ_vars[pos], groups);
+                    let keep = !mask.hits(mirror.succ_vars[pos]);
                     if !keep {
                         damaged.push(r);
                     }
                     keep
                 }) as u64;
-            mirror.succ_vars.retain(|&pr| !table.intersects(pr, groups));
+            mirror.succ_vars.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
-                .retain_pred_srcs(v, |pos, _| !table.intersects(mirror.pred_srcs[pos], groups))
-                as u64;
-            mirror.pred_srcs.retain(|&pr| !table.intersects(pr, groups));
+                .retain_pred_srcs(v, |pos, _| !mask.hits(mirror.pred_srcs[pos])) as u64;
+            mirror.pred_srcs.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
-                .retain_succ_snks(v, |pos, _| !table.intersects(mirror.succ_snks[pos], groups))
-                as u64;
-            mirror.succ_snks.retain(|&pr| !table.intersects(pr, groups));
+                .retain_succ_snks(v, |pos, _| !mask.hits(mirror.succ_snks[pos])) as u64;
+            mirror.succ_snks.retain(|&pr| !mask.hits(pr));
             if removed > at_v {
                 damaged.push(v);
             }
@@ -685,12 +679,12 @@ impl Solver {
         let mut i = 0;
         let ep = &*error_prov;
         self.errors.retain(|_| {
-            let keep = !table.intersects(ep[i], groups);
+            let keep = !mask.hits(ep[i]);
             i += 1;
             keep
         });
-        error_prov.retain(|&pr| !table.intersects(pr, groups));
-        removed
+        error_prov.retain(|&pr| !mask.hits(pr));
+        Some(removed)
     }
 
     /// Schedules the targeted re-derivation pass after
@@ -2354,8 +2348,7 @@ mod memo_tests {
             let before = s.least_solution();
             assert_eq!(before.get(s.find(vs[5])), &[csrc, dsrc], "{config:?}");
 
-            assert!(!s.retraction_invalidates_collapse(&[1]), "{config:?}");
-            let removed = s.retract_groups(&[1]);
+            let removed = s.retract_groups(&[1]).expect("no collapse depends on group 1");
             assert!(removed >= g1.len() as u64, "{config:?}: at least the atoms go");
             s.set_current_group(Some(0));
             for &(l, r) in &g0 {
@@ -2400,13 +2393,15 @@ mod memo_tests {
         s.solve();
         assert_eq!(s.find(x), s.find(y), "cycle collapsed");
         assert_eq!(s.collapse_log_len(), 1);
-        assert!(s.retraction_invalidates_collapse(&[0]));
-        assert!(s.retraction_invalidates_collapse(&[1]));
-        assert!(!s.retraction_invalidates_collapse(&[2]), "uninvolved group");
+        let census = s.census();
+        assert_eq!(s.retract_groups(&[0]), None);
+        assert_eq!(s.retract_groups(&[1]), None);
+        assert_eq!(s.census(), census, "a refused retraction deletes nothing");
+        assert_eq!(s.retract_groups(&[2]), Some(0), "uninvolved group");
     }
 
     /// Offline (periodic) collapses cannot attribute their cycles and must
-    /// log the saturated justification: every retraction then falls back.
+    /// log the `TOP` justification: every retraction then falls back.
     #[test]
     fn periodic_collapse_logs_top_justification() {
         let mut config = SolverConfig::if_online();
@@ -2421,7 +2416,7 @@ mod memo_tests {
         s.solve();
         assert_eq!(s.find(x), s.find(y), "offline pass collapsed the cycle");
         assert!(
-            s.retraction_invalidates_collapse(&[99]),
+            s.retract_groups(&[99]).is_none(),
             "TOP justification intersects every retraction"
         );
     }

@@ -439,11 +439,34 @@ impl ShardManager {
     pub fn alias(&mut self, a: Var, b: Var) -> bool {
         let (sa, sb) = (self.route.owner(a), self.route.owner(b));
         if sa == sb {
-            let set_a = self.sessions[sa].points_to(a).to_vec();
-            return intersects(&set_a, self.sessions[sa].points_to(b));
+            return self.sessions[sa].alias(a, b);
         }
-        let set_a = self.sessions[sa].points_to(a).to_vec();
-        intersects(&set_a, self.sessions[sb].points_to(b))
+        let (lo, hi) = self.sessions.split_at_mut(sa.max(sb));
+        let (first, second) = (&mut lo[sa.min(sb)], &mut hi[0]);
+        let (owner_a, owner_b) = if sa < sb {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        intersects(owner_a.points_to(a), owner_b.points_to(b))
+    }
+
+    /// Whether `a` and `b` may alias *as shard `shard` sees it* (the
+    /// `route` envelope's alias; see
+    /// [`shard_points_to`](ShardManager::shard_points_to)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn shard_alias(&mut self, shard: usize, a: Var, b: Var) -> bool {
+        self.sessions[shard].alias(a, b)
+    }
+
+    /// Whether `v` names a variable of the fleet. Variable ids align
+    /// fleet-wide (`AddVars` fans out to every shard), so shard 0 knows
+    /// every id.
+    pub fn has_var(&self, v: Var) -> bool {
+        self.sessions[0].has_var(v)
     }
 
     /// Republishes every shard's snapshot into `hub`: shard `k` writes

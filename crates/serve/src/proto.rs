@@ -295,6 +295,36 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// The `points-to` reply body `{t<i>,…}`, written into one string.
+fn render_points_to(set: &[TermId]) -> Response {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(2 + 6 * set.len());
+    out.push('{');
+    for (i, t) in set.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "t{}", t.index());
+    }
+    out.push('}');
+    Response::Ok(out)
+}
+
+/// The `alias` reply.
+fn render_alias(hit: bool) -> Response {
+    Response::Ok(if hit { "yes" } else { "no" }.to_string())
+}
+
+/// The `err` reply for the first of `vars` that `known` rejects: a read
+/// naming a variable the server never created is a client error, not a
+/// crash.
+fn check_vars(vars: &[Var], known: impl Fn(Var) -> bool) -> Result<(), Response> {
+    match vars.iter().find(|&&v| !known(v)) {
+        Some(v) => Err(Response::Err(format!("unknown variable v{}", v.index()))),
+        None => Ok(()),
+    }
+}
+
 /// Whether two sorted, distinct slices intersect.
 pub(crate) fn intersects(a: &[TermId], b: &[TermId]) -> bool {
     let (mut i, mut j) = (0, 0);
@@ -377,16 +407,14 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
                 report.outcome.reused_vars,
             ))
         }
-        Request::PointsTo(v) => {
-            let set: Vec<String> =
-                session.points_to(v).iter().map(|t| format!("t{}", t.index())).collect();
-            Response::Ok(format!("{{{}}}", set.join(",")))
-        }
-        Request::Alias(a, b) => {
-            let sa = session.points_to(a).to_vec();
-            let sb = session.points_to(b);
-            Response::Ok(if intersects(&sa, sb) { "yes" } else { "no" }.to_string())
-        }
+        Request::PointsTo(v) => match check_vars(&[v], |v| session.has_var(v)) {
+            Ok(()) => render_points_to(session.points_to(v)),
+            Err(e) => e,
+        },
+        Request::Alias(a, b) => match check_vars(&[a, b], |v| session.has_var(v)) {
+            Ok(()) => render_alias(session.alias(a, b)),
+            Err(e) => e,
+        },
         Request::Stats => {
             let s = session.stats();
             Response::Ok(format!(
@@ -506,14 +534,14 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
                 Err(e) => Response::Err(format!("rejected: {e}")),
             }
         }
-        Request::PointsTo(v) => {
-            let set: Vec<String> =
-                fleet.points_to(v).iter().map(|t| format!("t{}", t.index())).collect();
-            Response::Ok(format!("{{{}}}", set.join(",")))
-        }
-        Request::Alias(a, b) => {
-            Response::Ok(if fleet.alias(a, b) { "yes" } else { "no" }.to_string())
-        }
+        Request::PointsTo(v) => match check_vars(&[v], |v| fleet.has_var(v)) {
+            Ok(()) => render_points_to(fleet.points_to(v)),
+            Err(e) => e,
+        },
+        Request::Alias(a, b) => match check_vars(&[a, b], |v| fleet.has_var(v)) {
+            Ok(()) => render_alias(fleet.alias(a, b)),
+            Err(e) => e,
+        },
         Request::Stats => {
             // Unrouted stats aggregate across the fleet; `route <k> stats`
             // reads one shard.
@@ -550,19 +578,14 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
                 ));
             }
             match *inner {
-                Request::PointsTo(v) => {
-                    let set: Vec<String> = fleet
-                        .shard_points_to(shard, v)
-                        .iter()
-                        .map(|t| format!("t{}", t.index()))
-                        .collect();
-                    Response::Ok(format!("{{{}}}", set.join(",")))
-                }
-                Request::Alias(a, b) => {
-                    let sa = fleet.shard_points_to(shard, a).to_vec();
-                    let sb = fleet.shard_points_to(shard, b);
-                    Response::Ok(if intersects(&sa, sb) { "yes" } else { "no" }.to_string())
-                }
+                Request::PointsTo(v) => match check_vars(&[v], |v| fleet.has_var(v)) {
+                    Ok(()) => render_points_to(fleet.shard_points_to(shard, v)),
+                    Err(e) => e,
+                },
+                Request::Alias(a, b) => match check_vars(&[a, b], |v| fleet.has_var(v)) {
+                    Ok(()) => render_alias(fleet.shard_alias(shard, a, b)),
+                    Err(e) => e,
+                },
                 Request::Stats => {
                     let s = fleet.session(shard).stats();
                     Response::Ok(format!(
@@ -819,6 +842,71 @@ mod tests {
         assert!(responses[16].starts_with("err rejected: cross-shard group"));
         assert_eq!(responses[17], "ok {t2}");
         assert_eq!(responses[18], "ok bye");
+    }
+
+    /// Reads of ids the server never created answer `err`, on the session
+    /// path, the fleet path and the routed read, and the server keeps
+    /// serving afterwards.
+    #[test]
+    fn out_of_range_reads_are_typed_errors() {
+        let frames = [
+            "con c",
+            "term c",
+            "vars 3",
+            "group t2 <= v0 ; v0 <= v2", // one shard of two
+            "commit",
+            "points-to v999999",
+            "alias v0 v999999",
+            "alias v999999 v2",
+            "points-to v2",
+            "alias v0 v2",
+        ];
+        let expect_tail = [
+            "err unknown variable v999999",
+            "err unknown variable v999999",
+            "err unknown variable v999999",
+            "ok {t2}",
+            "ok yes",
+        ];
+        let mut session = crate::SessionBuilder::new().build();
+        let mut pending = Delta::new();
+        let replies: Vec<String> = frames
+            .iter()
+            .map(|f| execute(&mut session, &mut pending, parse_request(f).unwrap()).render())
+            .collect();
+        assert_eq!(replies[5..], expect_tail);
+
+        let mut fleet = ShardManager::new(&crate::SessionBuilder::new(), 2);
+        let mut pending = Delta::new();
+        let replies: Vec<String> = frames
+            .iter()
+            .map(|f| execute_fleet(&mut fleet, &mut pending, parse_request(f).unwrap()).render())
+            .collect();
+        assert!(replies[4].starts_with("ok committed"), "{}", replies[4]);
+        assert_eq!(replies[5..], expect_tail);
+        for (frame, want) in [
+            ("route 1 points-to v999999", "err unknown variable v999999"),
+            ("route 0 alias v0 v999999", "err unknown variable v999999"),
+            ("route 0 alias v0 v0", "ok yes"),
+        ] {
+            let got = execute_fleet(&mut fleet, &mut pending, parse_request(frame).unwrap());
+            assert_eq!(got.render(), want, "{frame}");
+        }
+    }
+
+    /// The shared renderer answers exactly the historical `{t<i>,…}` text.
+    #[test]
+    fn points_to_rendering_is_unchanged() {
+        let ids = [TermId::new(2), TermId::new(17), TermId::new(300)];
+        assert_eq!(
+            render_points_to(&ids),
+            Response::Ok("{t2,t17,t300}".to_string())
+        );
+        assert_eq!(
+            render_points_to(&ids[..1]),
+            Response::Ok("{t2}".to_string())
+        );
+        assert_eq!(render_points_to(&[]), Response::Ok("{}".to_string()));
     }
 
     #[test]

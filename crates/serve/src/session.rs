@@ -52,9 +52,11 @@ use bane_core::prelude::*;
 use bane_core::solset::SolSetKind;
 use bane_obs::{Counter, Phase, Recorder};
 use bane_par::{ParLeast, RevalidateOutcome};
+use bane_util::idx::Idx;
 use bane_util::{FxHashMap, FxHashSet};
 
 use crate::delta::{Delta, DeltaOp, GroupId};
+use crate::proto::intersects;
 
 /// Sub-group provenance granularity: each group's constraints are spread
 /// over this many provenance atoms (`atom = group · ATOM_BUCKETS + bucket`),
@@ -228,7 +230,6 @@ pub struct Session {
     solver: Solver,
     par: ParLeast,
     threads: usize,
-    batch_rounds: usize,
     kind: SolSetKind,
     ls: Option<LeastSolution>,
     revision: Option<GraphRevision>,
@@ -258,7 +259,6 @@ impl Session {
             solver,
             par: ParLeast::new(),
             threads: 1,
-            batch_rounds: 1,
             kind,
             ls: None,
             revision: None,
@@ -294,7 +294,6 @@ impl Session {
             groups: Vec::new(),
             par: ParLeast::new(),
             threads: threads.max(1),
-            batch_rounds: 1,
             kind,
             ls: None,
             revision: None,
@@ -342,25 +341,6 @@ impl Session {
     /// The worker count used for revalidation.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the recorded commit-batch depth (clamped to at least 1). See
-    /// [`batch_rounds`](Session::batch_rounds).
-    pub fn set_batch_rounds(&mut self, rounds: usize) {
-        self.batch_rounds = rounds.max(1);
-    }
-
-    /// The session's recorded commit-batch depth.
-    ///
-    /// Sessions themselves solve on the canonical sequential schedule (the
-    /// byte-identity contract leaves no room for a different one), so this
-    /// knob changes no observable; it is configuration metadata that
-    /// harnesses driving a frontier-batched engine beside the session (the
-    /// bench suite's `--batch-rounds`) stamp here so one
-    /// [`SessionBuilder`](crate::SessionBuilder) recipe carries the full
-    /// deployment configuration.
-    pub fn batch_rounds(&self) -> usize {
-        self.batch_rounds
     }
 
     /// The solution-set backend in use.
@@ -467,19 +447,20 @@ impl Session {
                     }
                 }
             }
-            retract_atoms.sort_unstable();
-            retract_atoms.dedup();
-            let fast = self.mode == ApplyMode::Fast
-                && !self.solver.retraction_invalidates_collapse(&retract_atoms);
-            if fast {
-                // The live solver survives: sync the deferred variables,
-                // retract exactly the removed constraints' facts, repair.
+            // Fast retracts exactly the removed constraints' facts unless
+            // that would invalidate a recorded collapse (then nothing was
+            // touched and the batch replays).
+            let retracted = match self.mode {
+                ApplyMode::Fast => self.solver.retract_groups(&retract_atoms),
+                ApplyMode::Exact => None,
+            };
+            if let Some(edges) = retracted {
+                // The live solver survives: sync the deferred variables and
+                // repair.
+                retracted_edges = edges;
                 for &v in &new_vars {
                     let b = self.solver.fresh_var();
                     debug_assert_eq!(v, b);
-                }
-                if !retract_atoms.is_empty() {
-                    retracted_edges = self.solver.retract_groups(&retract_atoms);
                 }
                 self.repair();
                 fast_repaired = true;
@@ -660,6 +641,21 @@ impl Session {
             Some(ls) => ls.get(r),
             None => &[],
         }
+    }
+
+    /// Whether the two solution sets intersect (may `a` and `b` alias?).
+    /// `false` when no delta has been applied.
+    pub fn alias(&mut self, a: Var, b: Var) -> bool {
+        let (ra, rb) = (self.solver.find(a), self.solver.find(b));
+        self.ls
+            .as_ref()
+            .is_some_and(|ls| intersects(ls.get(ra), ls.get(rb)))
+    }
+
+    /// Whether `v` names a variable of the live system. Reads of any other
+    /// id would index past the solver's tables.
+    pub fn has_var(&self, v: Var) -> bool {
+        v.index() < self.solver.graph_len()
     }
 
     /// The canonical representative of `v`.
