@@ -46,33 +46,20 @@
 //! `threads` (the `--threads` value), `git_revision`, and `logical_cpus` —
 //! and a `par_ls` section holds the `bane-par` scaling table: the largest
 //! selected benchmark's sequential baselines plus, for each thread count in
-//! {1, 2, 4, 8} ∪ {`--threads`}, the parallel least-solution and frontier
-//! engine wall times with their determinism checks (`ls_identical`,
-//! `frontier_deterministic` — both must read `true`; they are measured, not
-//! assumed). Every field that existed in `bane-bench/2` is emitted
-//! byte-identically; consumers of the old schema keep working unchanged.
+//! {1, 2, 4, 8} ∪ {`--threads`}, the parallel least-solution wall time with
+//! its determinism check (`ls_identical`, which must read `true`; it is
+//! measured, not assumed). Every field that existed in `bane-bench/2` is
+//! emitted byte-identically; consumers of the old schema keep working
+//! unchanged.
 //!
-//! `bane-bench/4` adds the frontier **batching** context: `batch_rounds`
-//! (the `--batch-rounds` value, used by the `par_ls` frontier runs) and a
-//! `par_batch` section measuring the largest benchmark at each batch size in
-//! {1, 8} ∪ {`--batch-rounds`} — wall time, the number of pool dispatches
-//! (`par.commit.broadcasts`, which must shrink as `K` grows), the round
-//! count (which must not change), and a per-row determinism check. The
-//! header also gains `single_cpu`: `true` when the machine exposes a single
-//! logical CPU, warning that parallel *speedups* in this snapshot are
-//! meaningless even though the determinism checks remain in force.
+//! `bane-bench/4` adds `single_cpu` to the header: `true` when the machine
+//! exposes a single logical CPU, warning that parallel *speedups* in this
+//! snapshot are meaningless even though the determinism checks remain in
+//! force.
 //!
-//! `bane-bench/5` adds the search-kernel **memo** telemetry: each `par_ls`
-//! row carries `search.memo.hit` and `search.memo.miss` — the negative
-//! cycle-search memo traffic of that thread count's frontier run. These are
-//! telemetry, *not* stable observables: hits come from duplicate frontier
-//! items re-running a search against the same frozen graph revision, so the
-//! split varies with chunking while every stable field stays byte-identical
-//! (the sequential solver's hit count is structurally 0 — each miss there
-//! mutates the graph before the key can recur). The sequential observed
-//! runs' `obs` reports likewise surface the new unified counters
-//! (`search.memo.*`, `epoch.resets`, `csr.build`). Every field that existed
-//! in `bane-bench/4` is emitted byte-identically.
+//! `bane-bench/5` surfaces the search-kernel unified counters
+//! (`search.memo.*`, `epoch.resets`, `csr.build`) in the observed runs'
+//! `obs` reports.
 //!
 //! `bane-bench/6` adds the **solution-set backend** axis:
 //!
@@ -156,15 +143,21 @@
 //! byte-identically; the Exact sessions and timed solver configurations
 //! are untouched.
 //!
+//! `bane-bench/11` removes everything the deleted round-parallel closure
+//! engine reported: its rounds-per-dispatch header field, the `par_batch`
+//! section, and the `par_ls` section's `seq_solve_ns` and per-row
+//! `frontier_*` and `search.memo.*` columns. Every other field is emitted
+//! byte-identically.
+//!
 //! The JSON is hand-rolled (the build environment has no serde); the format
 //! is plain nested objects with no NaNs and no trailing commas, so any JSON
 //! parser can read it.
 
 use bane_bench::cli::Options;
 use bane_bench::experiment::{
-    analyze_bench, run_batch_scaling, run_fleet, run_incremental, run_observed, run_one_with,
-    run_par_scaling, run_snap_queries, run_solset_scaling, BatchScaling, ExperimentKind,
-    FleetScaling, IncrementalScaling, Measurement, ParScaling, SnapScaling, SolSetScaling,
+    analyze_bench, run_fleet, run_incremental, run_observed, run_one_with, run_par_scaling,
+    run_snap_queries, run_solset_scaling, ExperimentKind, FleetScaling, IncrementalScaling,
+    Measurement, ParScaling, SnapScaling, SolSetScaling,
 };
 use bane_core::solset::SolSetKind;
 use bane_obs::RunReport;
@@ -209,7 +202,7 @@ fn main() {
             },
             "--help" | "-h" => die(
                 "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                 --only <substr> --threads <n> --batch-rounds <n> \
+                 --only <substr> --threads <n> \
                  --solset <sorted-span|bitmap|hybrid> --fast \
                  --out <path> --label <s> --report <path>",
             ),
@@ -305,59 +298,15 @@ fn main() {
     let largest = selected.iter().max_by_key(|(e, _)| e.ast_nodes);
     let par_ls_json = match largest {
         Some((entry, program)) => {
-            eprintln!(
-                "bench_json: par scaling on {} (threads {:?}, K={})",
-                entry.name, thread_counts, opts.batch_rounds
-            );
-            let scaling =
-                run_par_scaling(program, &thread_counts, opts.batch_rounds, opts.reps);
+            eprintln!("bench_json: par scaling on {} (threads {:?})", entry.name, thread_counts);
+            let scaling = run_par_scaling(program, &thread_counts, opts.reps);
             for row in &scaling.rows {
                 eprintln!(
-                    "  par {:<24} threads={} ls={:>12}ns (seq {:>12}ns) frontier={:>12}ns \
-                     identical={} deterministic={} memo={}/{}",
-                    entry.name,
-                    row.threads,
-                    row.ls_ns,
-                    scaling.seq_ls_ns,
-                    row.frontier_wall_ns,
-                    row.ls_identical,
-                    row.frontier_deterministic,
-                    row.memo_hits,
-                    row.memo_hits + row.memo_misses,
+                    "  par {:<24} threads={} ls={:>12}ns (seq {:>12}ns) identical={}",
+                    entry.name, row.threads, row.ls_ns, scaling.seq_ls_ns, row.ls_identical,
                 );
             }
             par_scaling_json(entry.name, &scaling)
-        }
-        None => "null".to_string(),
-    };
-
-    // The frontier batching table: the same largest benchmark at K ∈
-    // {1, 8} ∪ {--batch-rounds}, at the configured thread count.
-    let mut batch_sizes = vec![1usize, 8];
-    if !batch_sizes.contains(&opts.batch_rounds) {
-        batch_sizes.push(opts.batch_rounds);
-        batch_sizes.sort_unstable();
-    }
-    let par_batch_json = match largest {
-        Some((entry, program)) => {
-            eprintln!(
-                "bench_json: batch scaling on {} (threads {}, K {:?})",
-                entry.name, opts.threads, batch_sizes
-            );
-            let scaling = run_batch_scaling(program, opts.threads, &batch_sizes, opts.reps);
-            for row in &scaling.rows {
-                eprintln!(
-                    "  batch {:<22} K={} frontier={:>12}ns broadcasts={:<8} rounds={:<8} \
-                     deterministic={}",
-                    entry.name,
-                    row.batch_rounds,
-                    row.frontier_wall_ns,
-                    row.broadcasts,
-                    row.rounds,
-                    row.deterministic,
-                );
-            }
-            batch_scaling_json(entry.name, &scaling)
         }
         None => "null".to_string(),
     };
@@ -489,12 +438,12 @@ fn main() {
         .unwrap_or(0);
     let logical_cpus = bane_par::available_threads();
     let json = format!(
-        "{{\n  \"schema\": \"bane-bench/10\",\n  \"label\": {},\n  \
+        "{{\n  \"schema\": \"bane-bench/11\",\n  \"label\": {},\n  \
          \"created_unix\": {},\n  \"scale\": {},\n  \"max_ast\": {},\n  \
          \"reps\": {},\n  \"limit\": {},\n  \"threads\": {},\n  \
-         \"batch_rounds\": {},\n  \"solset\": {},\n  \"git_revision\": {},\n  \
+         \"solset\": {},\n  \"git_revision\": {},\n  \
          \"logical_cpus\": {},\n  \"single_cpu\": {},\n  \
-         \"par_ls\": {},\n  \"par_batch\": {},\n  \"solset_scaling\": {},\n  \
+         \"par_ls\": {},\n  \"solset_scaling\": {},\n  \
          \"snap_queries\": {},\n  \"incremental\": {},\n  \"fleet\": {},\n  \
          \"benchmarks\": [{}\n  ]\n}}\n",
         json_string(&label),
@@ -504,13 +453,11 @@ fn main() {
         opts.reps,
         opts.limit,
         opts.threads,
-        opts.batch_rounds,
         json_string(opts.solset.name()),
         json_string(&git_revision()),
         logical_cpus,
         logical_cpus == 1,
         par_ls_json,
-        par_batch_json,
         solset_json,
         snap_json,
         incremental_json,
@@ -551,8 +498,8 @@ fn git_revision() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The `par_ls` scaling section: sequential baselines plus one row per
-/// thread count with speedups relative to them.
+/// The `par_ls` scaling section: the sequential least-solution baseline
+/// plus one row per thread count with its speedup relative to it.
 fn par_scaling_json(benchmark: &str, scaling: &ParScaling) -> String {
     let mut rows = String::new();
     for (i, row) in scaling.rows.iter().enumerate() {
@@ -560,58 +507,20 @@ fn par_scaling_json(benchmark: &str, scaling: &ParScaling) -> String {
             rows.push(',');
         }
         let ls_speedup = scaling.seq_ls_ns as f64 / row.ls_ns.max(1) as f64;
-        let frontier_speedup =
-            scaling.seq_solve_ns as f64 / row.frontier_wall_ns.max(1) as f64;
         let _ = write!(
             rows,
             "\n      {{\"threads\": {}, \"ls_ns\": {}, \"ls_speedup\": {}, \
-             \"ls_identical\": {}, \"frontier_wall_ns\": {}, \
-             \"frontier_speedup\": {}, \"frontier_deterministic\": {}, \
-             \"search.memo.hit\": {}, \"search.memo.miss\": {}}}",
+             \"ls_identical\": {}}}",
             row.threads,
             row.ls_ns,
             json_f64(ls_speedup),
             row.ls_identical,
-            row.frontier_wall_ns,
-            json_f64(frontier_speedup),
-            row.frontier_deterministic,
-            row.memo_hits,
-            row.memo_misses,
         );
     }
     format!(
-        "{{\"benchmark\": {}, \"seq_ls_ns\": {}, \"seq_solve_ns\": {}, \
-         \"rows\": [{}\n    ]}}",
+        "{{\"benchmark\": {}, \"seq_ls_ns\": {}, \"rows\": [{}\n    ]}}",
         json_string(benchmark),
         scaling.seq_ls_ns,
-        scaling.seq_solve_ns,
-        rows,
-    )
-}
-
-/// The `par_batch` section: one row per batch size, with the dispatch count
-/// under its unified-counter name `par.commit.broadcasts`.
-fn batch_scaling_json(benchmark: &str, scaling: &BatchScaling) -> String {
-    let mut rows = String::new();
-    for (i, row) in scaling.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "\n      {{\"batch_rounds\": {}, \"frontier_wall_ns\": {}, \
-             \"par.commit.broadcasts\": {}, \"rounds\": {}, \"deterministic\": {}}}",
-            row.batch_rounds,
-            row.frontier_wall_ns,
-            row.broadcasts,
-            row.rounds,
-            row.deterministic,
-        );
-    }
-    format!(
-        "{{\"benchmark\": {}, \"threads\": {}, \"rows\": [{}\n    ]}}",
-        json_string(benchmark),
-        scaling.threads,
         rows,
     )
 }

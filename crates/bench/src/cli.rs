@@ -15,11 +15,8 @@ pub struct Options {
     pub limit: u64,
     /// Restrict to benchmarks whose name contains this string.
     pub only: Option<String>,
-    /// Worker threads for the `bane-par` engines (1 = sequential paths).
+    /// Worker threads for the `bane-par` passes (1 = sequential paths).
     pub threads: usize,
-    /// Frontier rounds committed per pool dispatch (`K`; 1 = one broadcast
-    /// per round, the pre-batching behavior).
-    pub batch_rounds: usize,
     /// Solution-set backend for the least-solution passes (every backend is
     /// byte-identical; the axis exists to compare their cost profiles).
     pub solset: SolSetKind,
@@ -37,7 +34,6 @@ impl Options {
             limit: 200_000_000,
             only: None,
             threads: 1,
-            batch_rounds: 1,
             solset: SolSetKind::SortedSpan,
         }
     }
@@ -46,8 +42,7 @@ impl Options {
     ///
     /// Recognized flags: `--scale <f>`, `--max-ast <n>`, `--reps <n>`,
     /// `--limit <n>`, `--only <substring>`, `--threads <n>`,
-    /// `--batch-rounds <n>`, `--solset <sorted-span|bitmap|hybrid>`,
-    /// `--fast`.
+    /// `--solset <sorted-span|bitmap|hybrid>`, `--fast`.
     ///
     /// # Errors
     ///
@@ -87,11 +82,6 @@ impl Options {
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?;
                 }
-                "--batch-rounds" => {
-                    self.batch_rounds = value("--batch-rounds")?
-                        .parse()
-                        .map_err(|e| format!("--batch-rounds: {e}"))?;
-                }
                 "--solset" => {
                     let name = value("--solset")?;
                     self.solset = SolSetKind::by_name(&name).ok_or_else(|| {
@@ -108,7 +98,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err(
                         "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                         --only <substr> --threads <n> --batch-rounds <n> \
+                         --only <substr> --threads <n> \
                          --solset <sorted-span|bitmap|hybrid> --fast"
                             .to_string(),
                     )
@@ -121,9 +111,6 @@ impl Options {
         }
         if self.threads == 0 {
             return Err("--threads must be at least 1".to_string());
-        }
-        if self.batch_rounds == 0 {
-            return Err("--batch-rounds must be at least 1".to_string());
         }
         Ok(self)
     }
@@ -165,7 +152,7 @@ mod tests {
         let o = Options::defaults(false)
             .parse(args(
                 "--scale 0.5 --max-ast 9000 --reps 3 --limit 1000 --only flex \
-                 --threads 4 --batch-rounds 8 --solset bitmap",
+                 --threads 4 --solset bitmap",
             ))
             .unwrap();
         assert_eq!(o.scale, 0.5);
@@ -174,7 +161,6 @@ mod tests {
         assert_eq!(o.limit, 1000);
         assert_eq!(o.only.as_deref(), Some("flex"));
         assert_eq!(o.threads, 4);
-        assert_eq!(o.batch_rounds, 8);
         assert_eq!(o.solset, SolSetKind::Bitmap);
     }
 
@@ -195,8 +181,6 @@ mod tests {
     fn threads_defaults_to_sequential() {
         assert_eq!(Options::defaults(false).threads, 1);
         assert_eq!(Options::defaults(true).threads, 1);
-        assert_eq!(Options::defaults(false).batch_rounds, 1);
-        assert_eq!(Options::defaults(true).batch_rounds, 1);
     }
 
     #[test]
@@ -207,8 +191,6 @@ mod tests {
         assert!(Options::defaults(false).parse(args("--scale 0")).is_err());
         assert!(Options::defaults(false).parse(args("--threads 0")).is_err());
         assert!(Options::defaults(false).parse(args("--threads x")).is_err());
-        assert!(Options::defaults(false).parse(args("--batch-rounds 0")).is_err());
-        assert!(Options::defaults(false).parse(args("--batch-rounds x")).is_err());
     }
 
     #[test]

@@ -413,63 +413,30 @@ pub struct ParScalingRow {
     /// Whether the parallel least solution was byte-identical to the
     /// sequential pass (the engine's core contract; must always be `true`).
     pub ls_identical: bool,
-    /// [`bane_par::FrontierSolver::solve`] wall time at this thread count.
-    pub frontier_wall_ns: u128,
-    /// Whether this thread count's frontier run reproduced the 1-thread
-    /// run's observables — stats (Work included), census, inconsistency
-    /// list, and least solution (must always be `true`).
-    pub frontier_deterministic: bool,
-    /// Negative cycle-search memo hits in the frontier run's scan phase.
-    /// Telemetry, not a stable observable: hits come from duplicate frontier
-    /// items re-running a search against the same frozen revision, so the
-    /// count varies with chunking (sequential `Solver` hits are always 0 —
-    /// every miss there mutates the graph before the key can recur).
-    pub memo_hits: u64,
-    /// Negative cycle-search memo misses in the frontier run (telemetry,
-    /// like [`memo_hits`](ParScalingRow::memo_hits)).
-    pub memo_misses: u64,
 }
 
-/// Scaling measurements for the `bane-par` engines on one benchmark.
+/// Least-solution scaling measurements for `bane-par` on one benchmark.
 #[derive(Clone, Debug)]
 pub struct ParScaling {
     /// Sequential [`Solver::least_solution`] wall time (best of reps) — the
     /// baseline the rows' speedups are computed against.
     pub seq_ls_ns: u128,
-    /// Sequential `IF-Online` resolution wall time (excluding the
-    /// least-solution pass) — the baseline for the frontier columns.
-    pub seq_solve_ns: u128,
     /// One row per requested thread count.
     pub rows: Vec<ParScalingRow>,
 }
 
 /// Runs the `bane-par` scaling experiment on `program`: the SCC-level
-/// parallel least solution and the frontier closure engine at each thread
-/// count in `thread_counts` (with `batch_rounds` rounds per pool dispatch),
-/// against sequential `IF-Online` baselines.
+/// parallel least solution at each thread count in `thread_counts`, against
+/// the sequential pass over the same solved `IF-Online` system.
 ///
 /// Determinism is *checked*, not assumed: every row records whether the
-/// least solution stayed byte-identical and whether the frontier run's
-/// observables matched the 1-thread run (which itself is checked
-/// semantically per variable against the sequential solver's solution).
-pub fn run_par_scaling(
-    program: &Program,
-    thread_counts: &[usize],
-    batch_rounds: usize,
-    reps: usize,
-) -> ParScaling {
-    use bane_par::{FrontierSolver, ParLeast};
+/// least solution stayed byte-identical to the sequential one.
+pub fn run_par_scaling(program: &Program, thread_counts: &[usize], reps: usize) -> ParScaling {
+    use bane_par::ParLeast;
 
-    // The constraint system is generated once and replayed into every
-    // engine — the Problem API guarantees all runs see the identical system.
-    let mut problem = Problem::new(SolverConfig::if_online());
-    andersen::generate(program, &mut problem);
-
-    // Sequential baselines.
-    let mut solver = Solver::from_problem(problem.clone());
-    let start = Instant::now();
+    let mut solver = Solver::new(SolverConfig::if_online());
+    andersen::generate(program, &mut solver);
     solver.solve();
-    let seq_solve_ns = start.elapsed().as_nanos();
     let mut seq_ls_ns = u128::MAX;
     let mut seq_ls = None;
     for _ in 0..reps.max(1) {
@@ -479,21 +446,6 @@ pub fn run_par_scaling(
         seq_ls = Some(ls);
     }
     let seq_ls = seq_ls.expect("reps >= 1");
-
-    // 1-thread frontier reference observables.
-    type FrontierRun = (u128, (u64, u64), Stats, Vec<Inconsistency>, LeastSolution);
-    let frontier_reference = |threads: usize| -> FrontierRun {
-        let mut f = FrontierSolver::from_problem(problem.clone());
-        f.set_threads(threads);
-        f.set_batch_rounds(batch_rounds);
-        let start = Instant::now();
-        Engine::solve(&mut f);
-        let wall = start.elapsed().as_nanos();
-        let ls = Engine::least_solution(&mut f);
-        let memo = f.search_memo_counts();
-        (wall, memo, *Engine::stats(&f), Engine::inconsistencies(&f).to_vec(), ls)
-    };
-    let (_, _, ref_stats, ref_errors, ref_ls) = frontier_reference(1);
 
     let mut par = ParLeast::new();
     let rows = thread_counts
@@ -505,102 +457,10 @@ pub fn run_par_scaling(
                 par.run(&solver.least_parts(), threads, None);
                 ls_ns = ls_ns.min(start.elapsed().as_nanos());
             }
-            let ls_identical = par.solution() == seq_ls;
-            let (frontier_wall_ns, (memo_hits, memo_misses), stats, errors, ls) =
-                frontier_reference(threads);
-            let frontier_deterministic =
-                stats == ref_stats && errors == ref_errors && ls == ref_ls;
-            ParScalingRow {
-                threads,
-                ls_ns,
-                ls_identical,
-                frontier_wall_ns,
-                frontier_deterministic,
-                memo_hits,
-                memo_misses,
-            }
+            ParScalingRow { threads, ls_ns, ls_identical: par.solution() == seq_ls }
         })
         .collect();
-    ParScaling { seq_ls_ns, seq_solve_ns, rows }
-}
-
-/// One batch size's row of the frontier batching table.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchScalingRow {
-    /// Rounds per pool dispatch (`K`).
-    pub batch_rounds: usize,
-    /// Frontier resolution wall time at this `K` (best of reps).
-    pub frontier_wall_ns: u128,
-    /// Pool dispatches used (`par.commit.broadcasts`): one per batch. Must
-    /// shrink as `K` grows — the whole point of batching.
-    pub broadcasts: u64,
-    /// Propose/commit rounds executed. Must be *identical* at every `K`
-    /// (batching groups rounds; it never changes the round sequence).
-    pub rounds: u64,
-    /// Whether this `K`'s observables (stats, inconsistencies, least
-    /// solution) matched the `K = 1` run (must always be `true`).
-    pub deterministic: bool,
-}
-
-/// Batch-size scaling for the frontier engine on one benchmark.
-#[derive(Clone, Debug)]
-pub struct BatchScaling {
-    /// Worker threads used for every row.
-    pub threads: usize,
-    /// One row per requested batch size.
-    pub rows: Vec<BatchScalingRow>,
-}
-
-/// Runs the frontier engine at each batch size in `batch_rounds` (at a fixed
-/// thread count), checking that the observables and the round sequence stay
-/// identical while the number of pool dispatches shrinks.
-pub fn run_batch_scaling(
-    program: &Program,
-    threads: usize,
-    batch_rounds: &[usize],
-    reps: usize,
-) -> BatchScaling {
-    use bane_par::FrontierSolver;
-
-    let mut problem = Problem::new(SolverConfig::if_online());
-    andersen::generate(program, &mut problem);
-
-    let run = |k: usize| {
-        let mut best_wall = u128::MAX;
-        let mut out = None;
-        for _ in 0..reps.max(1) {
-            let mut f = FrontierSolver::from_problem(problem.clone());
-            f.set_threads(threads);
-            f.set_batch_rounds(k);
-            let start = Instant::now();
-            Engine::solve(&mut f);
-            best_wall = best_wall.min(start.elapsed().as_nanos());
-            let ls = Engine::least_solution(&mut f);
-            out = Some((
-                f.batches(),
-                f.rounds(),
-                *Engine::stats(&f),
-                Engine::inconsistencies(&f).to_vec(),
-                ls,
-            ));
-        }
-        let (broadcasts, rounds, stats, errors, ls) = out.expect("reps >= 1");
-        (best_wall, broadcasts, rounds, stats, errors, ls)
-    };
-
-    let (_, _, ref_rounds, ref_stats, ref_errors, ref_ls) = run(1);
-    let rows = batch_rounds
-        .iter()
-        .map(|&k| {
-            let (frontier_wall_ns, broadcasts, rounds, stats, errors, ls) = run(k);
-            let deterministic = rounds == ref_rounds
-                && stats == ref_stats
-                && errors == ref_errors
-                && ls == ref_ls;
-            BatchScalingRow { batch_rounds: k, frontier_wall_ns, broadcasts, rounds, deterministic }
-        })
-        .collect();
-    BatchScaling { threads, rows }
+    ParScaling { seq_ls_ns, rows }
 }
 
 /// One backend × diff-mode row of the solution-set backend table.
@@ -1643,48 +1503,13 @@ mod tests {
     #[test]
     fn par_scaling_checks_hold_on_the_sample() {
         let program = sample_program();
-        for batch_rounds in [1, 8] {
-            let scaling = run_par_scaling(&program, &[1, 2, 4], batch_rounds, 1);
-            assert_eq!(scaling.rows.len(), 3);
-            assert!(scaling.seq_ls_ns > 0);
-            assert!(scaling.seq_solve_ns > 0);
-            for row in &scaling.rows {
-                assert!(row.ls_identical, "threads {} K {batch_rounds}", row.threads);
-                assert!(
-                    row.frontier_deterministic,
-                    "threads {} K {batch_rounds}",
-                    row.threads
-                );
-                assert!(row.ls_ns > 0);
-                assert!(row.frontier_wall_ns > 0);
-                assert!(
-                    row.memo_misses > 0,
-                    "the sample runs cycle searches, so the memo gets consulted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scaling_shrinks_broadcasts_without_changing_observables() {
-        let program = sample_program();
-        let scaling = run_batch_scaling(&program, 2, &[1, 2, 8], 1);
-        assert_eq!(scaling.threads, 2);
+        let scaling = run_par_scaling(&program, &[1, 2, 4], 1);
         assert_eq!(scaling.rows.len(), 3);
-        let k1 = scaling.rows[0];
-        assert_eq!(k1.broadcasts, k1.rounds, "K = 1: one dispatch per round");
+        assert!(scaling.seq_ls_ns > 0);
         for row in &scaling.rows {
-            assert!(row.deterministic, "K {}", row.batch_rounds);
-            assert_eq!(row.rounds, k1.rounds, "round sequence is K-invariant");
-            assert!(row.frontier_wall_ns > 0);
+            assert!(row.ls_identical, "threads {}", row.threads);
+            assert!(row.ls_ns > 0);
         }
-        let k8 = scaling.rows[2];
-        assert!(
-            k8.broadcasts < k1.broadcasts,
-            "K = 8 must amortize dispatches ({} vs {})",
-            k8.broadcasts,
-            k1.broadcasts
-        );
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! The backend contract is byte-identity: every [`SolSetKind`] must produce
 //! a `LeastSolution` whose raw buffers equal the default sorted-span pass's,
-//! through every evaluation route — the sequential kernel dispatch on
-//! `Solver::least_solution`, and the frontier engine's difference-propagating
-//! parallel pass — both cold and across system growth. This suite pins that
-//! on `bane-synth` generated programs (larger and messier than the unit-test
+//! through the sequential kernel dispatch on `Solver::least_solution`, both
+//! cold and across system growth, and through `bane-par`'s
+//! difference-propagating pass in the solset scaling table. This suite pins
+//! that on `bane-synth` generated programs (larger and messier than the unit-test
 //! systems: function pointers, feedback assignments, deep pointer chains).
 
 use bane_bench::experiment::run_solset_scaling;
 use bane_core::prelude::*;
 use bane_core::solset::SolSetKind;
-use bane_par::FrontierSolver;
 use bane_points_to::andersen;
 use bane_synth::{generate, GenConfig};
 
@@ -43,7 +42,7 @@ fn backends_are_byte_identical_on_synthetic_programs() {
 
             // Sequential kernel dispatch, cold and grown (the grown call
             // exercises the kernel's incremental path on a warm evaluator).
-            let mut s = Solver::from_problem(p.clone());
+            let mut s = Solver::from_problem(p);
             s.solve();
             assert_eq!(s.least_solution(), ls_prefix, "{} seq prefix", kind.name());
             for (lhs, rhs) in tail.iter().cloned() {
@@ -51,30 +50,6 @@ fn backends_are_byte_identical_on_synthetic_programs() {
             }
             s.solve();
             assert_eq!(s.least_solution(), ls_full, "{} seq grown", kind.name());
-
-            // The frontier engine routes non-default backends through the
-            // difference-propagating parallel pass.
-            for threads in [1usize, 4] {
-                let mut f = FrontierSolver::from_problem(p.clone());
-                f.set_threads(threads);
-                Engine::solve(&mut f);
-                assert_eq!(
-                    Engine::least_solution(&mut f),
-                    ls_prefix,
-                    "{} frontier prefix, {threads} threads",
-                    kind.name()
-                );
-                for (lhs, rhs) in tail.iter().cloned() {
-                    ConstraintBuilder::add(&mut f, lhs, rhs);
-                }
-                Engine::solve(&mut f);
-                assert_eq!(
-                    Engine::least_solution(&mut f),
-                    ls_full,
-                    "{} frontier grown, {threads} threads",
-                    kind.name()
-                );
-            }
         }
     }
 }

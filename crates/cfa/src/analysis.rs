@@ -39,8 +39,7 @@ pub struct Cfa {
 }
 
 /// Generates the 0-CFA constraints for `program` into any
-/// [`ConstraintBuilder`] (a solver, a frontier engine, or a bare
-/// [`Problem`]).
+/// [`ConstraintBuilder`] (a solver or a bare [`Problem`]).
 ///
 /// Returns the cache variables and the `lam`-term table; does not solve.
 pub fn generate<B: ConstraintBuilder>(

@@ -23,7 +23,7 @@
 //! of form, [`ChainDir`], and [`StepOrder`], so SF and IF runs are directly
 //! comparable:
 //!
-//! - `searches` — one per [`ChainSearch::search`] call (SF's
+//! - `searches` — one per chain search (SF's
 //!   [`SfSearchPolicy::AlsoIncreasing`] policy therefore counts two searches
 //!   per insertion, one per step order, as the paper's cost discussion
 //!   implies);
@@ -91,7 +91,7 @@ pub enum SfSearchPolicy {
 
 impl SfSearchPolicy {
     /// The step orders to try, in sequence.
-    pub fn steps(self) -> &'static [StepOrder] {
+    pub(crate) fn steps(self) -> &'static [StepOrder] {
         match self {
             SfSearchPolicy::Decreasing => &[StepOrder::Decreasing],
             SfSearchPolicy::AlsoIncreasing => {
@@ -121,13 +121,13 @@ pub struct SearchStats {
 /// over the epoch stamp width (use the [`ChainSearch`] alias unless testing
 /// wraparound).
 #[derive(Clone, Debug, Default)]
-pub struct ChainSearchImpl<E: EpochStamp = u32> {
+pub(crate) struct ChainSearchImpl<E: EpochStamp = u32> {
     visited: EpochSetImpl<E>,
     stack: Vec<Frame>,
 }
 
 /// The production chain-search scratch: `u32` epoch stamps.
-pub type ChainSearch = ChainSearchImpl<u32>;
+pub(crate) type ChainSearch = ChainSearchImpl<u32>;
 
 #[derive(Clone, Copy, Debug)]
 struct Frame {
@@ -137,13 +137,14 @@ struct Frame {
 
 impl<E: EpochStamp> ChainSearchImpl<E> {
     /// Creates search state for graphs of about `capacity` variables.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self { visited: EpochSetImpl::new(capacity), stack: Vec::new() }
     }
 
     /// Number of physical wraparound resets of the visited set (feeds the
     /// `epoch.resets` observability counter).
-    pub fn epoch_resets(&self) -> u64 {
+    #[cfg(any(feature = "obs", test))]
+    pub(crate) fn epoch_resets(&self) -> u64 {
         self.visited.resets()
     }
 
@@ -159,7 +160,7 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
     ///
     /// Statistics accrue per the module-level counting invariant.
     #[allow(clippy::too_many_arguments)] // the search is parameterized by the paper's five knobs
-    pub fn search(
+    pub(crate) fn search(
         &mut self,
         graph: &Graph,
         fwd: &Forwarding,
@@ -224,14 +225,14 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
     }
 
     /// Grows the visited set to cover `capacity` variables.
-    pub fn grow(&mut self, capacity: usize) {
+    pub(crate) fn grow(&mut self, capacity: usize) {
         self.visited.grow(capacity);
     }
 }
 
 /// A snapshot of the graph mutations that can change a chain search's
 /// outcome or cost, used to validate memoized negative verdicts (DESIGN.md
-/// §4d).
+/// §4e).
 ///
 /// The counters are split by polarity because a chain search only ever scans
 /// one side of the adjacency: a [`ChainDir::Pred`] search reads predecessor
@@ -251,7 +252,7 @@ pub struct GraphRevision {
 
 impl GraphRevision {
     /// Snapshots the current revision of `graph` + `fwd`.
-    pub fn of(graph: &Graph, fwd: &Forwarding) -> Self {
+    pub(crate) fn of(graph: &Graph, fwd: &Forwarding) -> Self {
         GraphRevision {
             pred: graph.pred_var_revision(),
             succ: graph.succ_var_revision(),
@@ -269,21 +270,6 @@ impl GraphRevision {
             }
     }
 
-    /// The predecessor-polarity edge revision counter.
-    pub fn pred_revision(&self) -> u64 {
-        self.pred
-    }
-
-    /// The successor-polarity edge revision counter.
-    pub fn succ_revision(&self) -> u64 {
-        self.succ
-    }
-
-    /// Number of collapsed (forwarded) variables at snapshot time.
-    pub fn collapses(&self) -> usize {
-        self.collapses
-    }
-
     /// Whether solved state recorded at `self` is still **exactly** valid at
     /// `now`: no new edge of either polarity, no collapse. This is the
     /// cross-`Delta` generalization of the per-verdict check above — a
@@ -291,20 +277,6 @@ impl GraphRevision {
     /// retained least solution without any recomputation at all.
     pub fn validates(self, now: GraphRevision) -> bool {
         self == now
-    }
-
-    /// Whether `now` is a **monotone extension** of `self`: every revision
-    /// counter is non-decreasing. All three counters only ever count up
-    /// inside one solver (edge-insert bumps and collapse totals never
-    /// rewind), so this holds exactly when `now` was produced by feeding
-    /// *additional* constraints into the same live solver that produced
-    /// `self` — the condition under which previously solved sets remain
-    /// valid lower bounds and the difference-propagating least-solution
-    /// kernels may reuse them. A fresh solver (replay after a non-monotone
-    /// `Delta`) generally fails this check, which is what forces the
-    /// revalidating per-level recompute path instead.
-    pub fn extends(self, now: GraphRevision) -> bool {
-        self.pred <= now.pred && self.succ <= now.succ && self.collapses <= now.collapses
     }
 }
 
@@ -317,7 +289,7 @@ struct MemoEntry {
     edges: u64,
 }
 
-/// Negative-result memoization for chain searches (DESIGN.md §4d).
+/// Negative-result memoization for chain searches (DESIGN.md §4e).
 ///
 /// Caches "no cycle found from `(start, target, dir, step)`" verdicts keyed
 /// by [`GraphRevision`]. A hit answers without touching the graph while
@@ -334,18 +306,19 @@ struct MemoEntry {
 /// collapses and polarity-matching *new* edge inserts invalidate; redundant
 /// insert attempts, source/sink inserts, and eager compaction do not.
 ///
-/// In the sequential solver same-key repeats are rare (the redundancy check
-/// fires first, and every non-redundant search is immediately followed by an
-/// insert or a collapse), so the memo is near-transparent there; the real
-/// hits come from `bane-par`'s scan phase, where duplicate frontier items in
-/// one round repeat identical searches against the unchanged round-start
-/// graph.
+/// The sequential solver is this memo's only caller, and there its hits are
+/// structurally 0: the redundancy check fires before any repeated search,
+/// and every search that reaches the memo is immediately followed by an
+/// insert or a collapse, which bumps the revision before the same key can
+/// recur. Every probe is therefore a miss that records an entry, and the
+/// memo saves no searches. Removing it is an open ROADMAP item: it changes
+/// the allocation pattern of whole-program runs, which moves their peak RSS.
 ///
 /// Storage is a reusable hash map that only grows while *new* keys miss;
 /// steady-state re-feeds of redundant constraints never reach the memo at
 /// all, preserving the zero-allocation pin.
 #[derive(Clone, Debug)]
-pub struct SearchMemo {
+pub(crate) struct SearchMemo {
     map: FxHashMap<(Var, Var, ChainDir, StepOrder), MemoEntry>,
     hits: u64,
     misses: u64,
@@ -360,30 +333,25 @@ impl Default for SearchMemo {
 
 impl SearchMemo {
     /// Creates an enabled, empty memo.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Turns memoization off (every call falls through to the live search,
     /// counting neither hits nor misses) or back on. Used by the census
     /// equivalence tests and as an operational kill switch.
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
     /// Number of searches answered from a still-valid negative verdict.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Number of searches that ran live (no entry, or a stale one).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Drops every cached verdict, keeping allocated capacity.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     /// Runs `search` through the memo: a still-valid negative verdict for
@@ -393,7 +361,7 @@ impl SearchMemo {
     /// handling) and a negative outcome is recorded at the current
     /// [`GraphRevision`].
     #[allow(clippy::too_many_arguments)] // mirrors the search it wraps
-    pub fn search<E: EpochStamp>(
+    pub(crate) fn search<E: EpochStamp>(
         &mut self,
         search: &mut ChainSearchImpl<E>,
         graph: &Graph,
@@ -442,23 +410,21 @@ impl SearchMemo {
 
 /// Reusable scratch for one *offline* cycle-elimination sweep: Tarjan over
 /// the current canonical variable-variable edges, exposing the non-trivial
-/// SCCs for the engine to collapse.
+/// SCCs for the solver to collapse.
 ///
-/// This is the shared half of [`CycleElim::Periodic`](crate::solver::CycleElim)
-/// — the part that only reads the graph. Both engines drive it the same way
-/// (compute, then collapse each component through their own collapse
-/// routine), which is what keeps the sequential solver's periodic passes and
-/// `bane-par`'s batch-boundary sweeps *observably identical*: the component
-/// order is Tarjan emission order (reverse topological) and the member order
-/// within a component is Tarjan stack-pop order, both fully determined by
-/// the canonical edge list.
+/// This is the read-only half of
+/// [`CycleElim::Periodic`](crate::solver::CycleElim): the solver computes
+/// the sweep, then collapses each component through its own collapse
+/// routine. The component order is Tarjan emission order (reverse
+/// topological) and the member order within a component is Tarjan
+/// stack-pop order, both fully determined by the canonical edge list.
 ///
 /// The two-phase shape (compute into owned storage, collapse afterwards) is
 /// deliberate: collapsing mutates the graph, so the sweep result must not
 /// borrow it. All storage is reused across sweeps; a periodic run allocates
 /// only when the graph outgrows every previous sweep.
 #[derive(Clone, Debug, Default)]
-pub struct CycleSweep {
+pub(crate) struct CycleSweep {
     adj: Vec<Vec<u32>>,
     scratch: crate::scc::TarjanScratch,
     /// Members of all non-trivial components, flattened in component order.
@@ -471,7 +437,7 @@ impl CycleSweep {
     /// Runs Tarjan over `graph`'s canonical variable-variable edges and
     /// records every non-trivial SCC. Returns the number of components
     /// found; read them back with [`component`](CycleSweep::component).
-    pub fn compute(&mut self, graph: &Graph, fwd: &Forwarding) -> usize {
+    pub(crate) fn compute(&mut self, graph: &Graph, fwd: &Forwarding) -> usize {
         let n = graph.len();
         for list in &mut self.adj {
             list.clear();
@@ -493,14 +459,15 @@ impl CycleSweep {
 
     /// The members of non-trivial component `i` of the last
     /// [`compute`](CycleSweep::compute), in collapse order.
-    pub fn component(&self, i: usize) -> &[Var] {
+    pub(crate) fn component(&self, i: usize) -> &[Var] {
         let (start, end) = self.spans[i];
         &self.members[start as usize..end as usize]
     }
 
     /// Physical wraparound resets of the Tarjan scratch's visited set (feeds
     /// the `epoch.resets` observability counter).
-    pub fn epoch_resets(&self) -> u64 {
+    #[cfg(feature = "obs")]
+    pub(crate) fn epoch_resets(&self) -> u64 {
         self.scratch.epoch_resets()
     }
 }

@@ -56,7 +56,7 @@ impl Forwarding {
     }
 
     /// Number of variables that have been forwarded into another one.
-    pub fn collapsed_count(&self) -> usize {
+    pub(crate) fn collapsed_count(&self) -> usize {
         self.collapsed
     }
 
@@ -114,7 +114,7 @@ impl Forwarding {
     }
 
     /// Iterates over current representatives only.
-    pub fn reps(&self) -> impl Iterator<Item = Var> + '_ {
+    pub(crate) fn reps(&self) -> impl Iterator<Item = Var> + '_ {
         self.parent.iter_enumerated().filter(|&(v, &p)| v == p).map(|(v, _)| v)
     }
 }

@@ -39,7 +39,7 @@
 //! every later traversal re-walk forwarding chains. [`Graph::compact_node`]
 //! eagerly rewrites stale entries *in place* to their current
 //! representative, once per node per collapse epoch (stamped with
-//! [`Forwarding::collapsed_count`]).
+//! the forwarding table's collapse count).
 //!
 //! Compaction deliberately preserves two things, keeping the Work and census
 //! counters byte-identical to an uncompacted run:
@@ -224,7 +224,7 @@ impl VarNode {
     }
 
     /// Sink terms this node flows into (`self → c(…)`).
-    pub fn succ_snks(&self) -> &[TermId] {
+    pub(crate) fn succ_snks(&self) -> &[TermId] {
         self.succ_snks.as_slice()
     }
 
@@ -374,12 +374,12 @@ impl Graph {
 
     /// Whether the predecessor edge `x ⋯→ y` is present (under the ids the
     /// edge was inserted with; stale entries are the solver's concern).
-    pub fn has_pred_var(&self, y: Var, x: Var) -> bool {
+    pub(crate) fn has_pred_var(&self, y: Var, x: Var) -> bool {
         self.nodes[y].pred_vars.contains(x)
     }
 
     /// Whether the successor edge `x → y` is present.
-    pub fn has_succ_var(&self, x: Var, y: Var) -> bool {
+    pub(crate) fn has_succ_var(&self, x: Var, y: Var) -> bool {
         self.nodes[x].succ_vars.contains(y)
     }
 
@@ -505,13 +505,13 @@ impl Graph {
     /// [`take_edges`](Graph::take_edges); *not* bumped by redundant inserts,
     /// source/sink inserts, or [`compact_node`](Graph::compact_node)
     /// (compaction preserves the traversal multiset, see the module docs).
-    pub fn pred_var_revision(&self) -> u64 {
+    pub(crate) fn pred_var_revision(&self) -> u64 {
         self.pred_var_revision
     }
 
     /// Monotone revision of the successor variable lists (see
     /// [`pred_var_revision`](Graph::pred_var_revision)).
-    pub fn succ_var_revision(&self) -> u64 {
+    pub(crate) fn succ_var_revision(&self) -> u64 {
         self.succ_var_revision
     }
 

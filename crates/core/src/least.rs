@@ -22,11 +22,10 @@ use crate::solver::{Form, Solver};
 
 /// Borrowed view of exactly the solver state the least-solution pass reads.
 ///
-/// Obtained from [`Solver::least_parts`] (or assembled directly by an
-/// external engine such as `bane-par` that owns the parts). Everything here
-/// is a shared reference to `Sync` data, so a `LeastParts` can be captured
-/// by scoped worker threads while the solver itself stays on the owning
-/// thread.
+/// Obtained from [`Solver::least_parts`]. Everything here is a shared
+/// reference to `Sync` data, so a `LeastParts` can be captured by scoped
+/// worker threads (`bane-par`'s level-parallel pass) while the solver itself
+/// stays on the owning thread.
 #[derive(Clone, Copy)]
 pub struct LeastParts<'a> {
     /// The solved constraint graph.

@@ -79,7 +79,6 @@
 pub mod cons;
 pub mod cycle;
 pub mod dot;
-pub mod engine;
 pub mod error;
 pub mod expr;
 pub mod forward;
@@ -99,7 +98,6 @@ pub mod stats;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::cons::{Con, Variance};
-    pub use crate::engine::Engine;
     pub use crate::error::Inconsistency;
     pub use crate::expr::{SetExpr, TermId, Var};
     pub use crate::least::LeastSolution;

@@ -80,7 +80,7 @@ impl VarOrder {
 
     /// Whether `a` precedes `b` in the order (i.e. `o(a) < o(b)`).
     #[inline]
-    pub fn lt(&self, a: Var, b: Var) -> bool {
+    pub(crate) fn lt(&self, a: Var, b: Var) -> bool {
         self.key(a) < self.key(b)
     }
 
@@ -89,7 +89,7 @@ impl VarOrder {
     /// # Panics
     ///
     /// Panics if `vars` is empty.
-    pub fn min_of<'a>(&self, vars: impl IntoIterator<Item = &'a Var>) -> Var {
+    pub(crate) fn min_of<'a>(&self, vars: impl IntoIterator<Item = &'a Var>) -> Var {
         *vars
             .into_iter()
             .min_by_key(|&&v| self.key(v))

@@ -1,29 +1,27 @@
-//! Engine-independent constraint construction: the [`ConstraintBuilder`]
+//! Solver-independent constraint construction: the [`ConstraintBuilder`]
 //! trait and the standalone [`Problem`] store.
 //!
-//! Historically every engine re-exposed the same five construction methods
-//! (`register_con` / `register_nullary` / `term` / `fresh_var` / `add`) as
-//! inherent methods, duplicated verbatim. This module makes the builder
-//! surface a single trait, so constraint *generators* (the Andersen and CFA
-//! front ends, the synthetic test systems) can target any engine — or no
-//! engine at all:
+//! The builder surface (`register_con` / `register_nullary` / `term` /
+//! `fresh_var` / `add`) is a single trait, so constraint *generators* (the
+//! Andersen and CFA front ends, the synthetic test systems) can target a
+//! live solver or no solver at all:
 //!
 //! - [`ConstraintBuilder`] is the shared construction API, implemented by
-//!   [`Solver`](crate::solver::Solver), by `bane-par`'s `FrontierSolver`,
-//!   and by [`Problem`];
+//!   [`Solver`](crate::solver::Solver) and by [`Problem`];
 //! - [`Problem`] is a pure *recording* of one construction sequence —
 //!   constructors, interned terms, a variable-creation count, and the
 //!   constraint list — with no graph and no resolution strategy attached.
-//!   Build it once, then hand it to any engine via `Engine::from_problem`
-//!   (cloning first to feed several engines the identical system).
+//!   Build it once, then hand it to [`Solver::from_problem`] (cloning first
+//!   to feed several solvers the identical system).
 //!
 //! A `Problem` registers the builtin `1`/`0` constructors exactly the way
 //! [`Solver::new`](crate::solver::Solver::new) does, so every identifier a
 //! generator observes (`Con`, `TermId`, `Var`) is numerically identical to
 //! what the same calls against a live solver would have produced — which is
-//! what lets one recording replay into plain, frontier, *and*
-//! oracle-partitioned engines without disturbing the oracle's
-//! creation-index bookkeeping.
+//! what lets one recording replay into plain *and* oracle-partitioned
+//! solvers without disturbing the oracle's creation-index bookkeeping.
+//!
+//! [`Solver::from_problem`]: crate::solver::Solver::from_problem
 //!
 //! # Examples
 //!
@@ -37,7 +35,7 @@
 //! p.add(src, x);
 //! p.add(x, y);
 //!
-//! // The same recording drives any engine.
+//! // The recording replays into a solver.
 //! let mut solver = Solver::from_problem(p);
 //! solver.solve();
 //! let y = solver.find(y);
@@ -50,11 +48,10 @@ use crate::solver::SolverConfig;
 
 /// The shared constraint-construction surface.
 ///
-/// One trait, three kinds of implementors: the sequential
-/// [`Solver`](crate::solver::Solver), parallel engines (`bane-par`'s
-/// `FrontierSolver`), and the engine-free [`Problem`] recording. Generators
-/// written against this trait (for example
-/// `bane_points_to::andersen::generate`) run unchanged on all of them.
+/// Two implementors: the sequential [`Solver`](crate::solver::Solver) and
+/// the solver-free [`Problem`] recording. Generators written against this
+/// trait (for example `bane_points_to::andersen::generate`) run unchanged on
+/// both.
 pub trait ConstraintBuilder {
     /// Registers a constructor with explicit argument variances.
     fn register_con(&mut self, name: impl Into<String>, variances: Vec<Variance>) -> Con;
@@ -117,8 +114,9 @@ impl Problem {
         }
     }
 
-    /// The configuration the problem was built for (engines constructed via
-    /// `Engine::from_problem` run under it).
+    /// The configuration the problem was built for (solvers constructed via
+    /// [`Solver::from_problem`](crate::solver::Solver::from_problem) run
+    /// under it).
     pub fn config(&self) -> &SolverConfig {
         &self.config
     }
@@ -145,7 +143,7 @@ impl Problem {
 
     /// Replaces the solution-set backend in the recorded configuration.
     ///
-    /// Engines constructed from this problem evaluate their least solution
+    /// Solvers constructed from this problem evaluate their least solution
     /// through the selected backend (see
     /// [`SolverConfig::solset`](crate::solver::SolverConfig::solset)); the
     /// recorded constraints are untouched, so the same recording can be
@@ -158,7 +156,7 @@ impl Problem {
     /// prefix recorded.
     ///
     /// This is the staged-feeding primitive for incremental experiments:
-    /// replay the prefix into an engine, solve, then feed the returned tail
+    /// replay the prefix into a solver, solve, then feed the returned tail
     /// through `add` and re-solve — exercising repeated least-solution
     /// passes over a grown system (the difference-propagation workload).
     ///
@@ -169,15 +167,17 @@ impl Problem {
         self.constraints.split_off(at)
     }
 
-    /// Decomposes the recording for an engine to adopt: configuration,
+    /// Decomposes the recording for a solver to adopt: configuration,
     /// constructor registry, term arena, variable count, and constraints.
     ///
-    /// Engine constructors (`Engine::from_problem` implementations) replay
-    /// `vars` fresh-variable creations and then feed the constraints through
-    /// their own `add`, so engine-side bookkeeping (order assignment, oracle
-    /// aliasing, `constraints_added`) happens exactly as if the generator
-    /// had targeted the engine directly.
-    pub fn into_parts(self) -> (SolverConfig, ConRegistry, TermArena, u32, Vec<(SetExpr, SetExpr)>) {
+    /// [`Solver::from_problem`](crate::solver::Solver::from_problem) replays
+    /// `vars` fresh-variable creations and then feeds the constraints
+    /// through its own `add`, so solver-side bookkeeping (order assignment,
+    /// oracle aliasing, `constraints_added`) happens exactly as if the
+    /// generator had targeted the solver directly.
+    pub(crate) fn into_parts(
+        self,
+    ) -> (SolverConfig, ConRegistry, TermArena, u32, Vec<(SetExpr, SetExpr)>) {
         (self.config, self.cons, self.terms, self.vars, self.constraints)
     }
 }

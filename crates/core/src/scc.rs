@@ -76,7 +76,8 @@ pub type TarjanScratch = TarjanScratchImpl<u32>;
 impl<E: EpochStamp> TarjanScratchImpl<E> {
     /// Number of physical wraparound resets of the visited set (feeds the
     /// `epoch.resets` observability counter).
-    pub fn epoch_resets(&self) -> u64 {
+    #[cfg(any(feature = "obs", test))]
+    pub(crate) fn epoch_resets(&self) -> u64 {
         self.visited.resets()
     }
 }

@@ -203,46 +203,6 @@ impl NodeCounts {
     }
 }
 
-/// The owned state a constraint-resolution engine runs on, decomposed from a
-/// [`Solver`] by [`Solver::into_engine_parts`].
-///
-/// Every field a worklist engine needs to resolve constraints — and nothing
-/// solver-strategy-specific (no chain-search scratch, no oracle logs). The
-/// fields are public by design: an external engine (such as `bane-par`'s
-/// frontier engine) takes full ownership and is responsible for upholding
-/// the representation invariants documented on each part (most importantly,
-/// inductive-form predecessor edges must keep decreasing the variable
-/// order).
-#[derive(Clone, Debug)]
-pub struct EngineParts {
-    /// The solver configuration (form, cycle elimination, order policy).
-    pub config: SolverConfig,
-    /// Registered constructors.
-    pub cons: ConRegistry,
-    /// Interned terms.
-    pub terms: TermArena,
-    /// The constraint graph.
-    pub graph: Graph,
-    /// Forwarding pointers for collapsed variables.
-    pub fwd: Forwarding,
-    /// The variable order.
-    pub order: VarOrder,
-    /// Constraints not yet resolved.
-    pub pending: VecDeque<(SetExpr, SetExpr)>,
-    /// Accumulated statistics (the paper's Work metric and friends).
-    pub stats: Stats,
-    /// Inconsistencies recorded so far.
-    pub errors: Vec<Inconsistency>,
-    /// The interned builtin `1` term.
-    pub one_term: TermId,
-    /// The interned builtin `0` term.
-    pub zero_term: TermId,
-    /// Distinct source terms inserted into the graph.
-    pub source_terms: FxHashSet<TermId>,
-    /// Distinct sink terms inserted into the graph.
-    pub sink_terms: FxHashSet<TermId>,
-}
-
 /// Per-node provenance mirrors, positionally parallel to the node's four
 /// adjacency lists (same push order, taken/retained in lockstep). Possible
 /// only because the provenance-tracking solver disables eager compaction:
@@ -365,7 +325,7 @@ impl Solver {
 
     /// Creates a solver from a recorded [`Problem`], adopting its
     /// constructors and terms and replaying its variable creations and
-    /// constraints (see [`Engine::from_problem`](crate::engine::Engine)).
+    /// constraints.
     pub fn from_problem(problem: Problem) -> Self {
         Self::adopt_problem(problem, None)
     }
@@ -1536,7 +1496,7 @@ impl Solver {
 
     /// Borrows exactly the parts the least-solution pass reads.
     ///
-    /// This is the public hook the parallel engine (`bane-par`) computes the
+    /// This is the public hook `bane-par`'s level-parallel pass computes the
     /// least solution through: the returned references are all `Sync`, so
     /// scoped worker threads can read the graph, forwarding pointers, and
     /// variable order concurrently while the solver stays put. Meaningful
@@ -1554,10 +1514,9 @@ impl Solver {
     /// solved graph — the validation token `bane-serve` records after each
     /// solve and checks across `Delta` applications (see
     /// `docs/INCREMENTAL.md`): [`validates`] means the solved state is
-    /// exactly current; [`extends`] means it remains a monotone lower bound.
+    /// exactly current.
     ///
     /// [`validates`]: crate::cycle::GraphRevision::validates
-    /// [`extends`]: crate::cycle::GraphRevision::extends
     pub fn graph_revision(&self) -> crate::cycle::GraphRevision {
         crate::cycle::GraphRevision::of(&self.graph, &self.fwd)
     }
@@ -1572,43 +1531,6 @@ impl Solver {
     /// backends (loaned out the same way as the CSR snapshot).
     pub(crate) fn ls_kernel_slot(&mut self) -> &mut Option<Box<crate::solset::KernelHolder>> {
         &mut self.ls_kernel
-    }
-
-    /// Decomposes the solver into its owned engine parts.
-    ///
-    /// This is the hand-off point to alternative execution engines (the
-    /// round-based frontier engine in `bane-par`): generate constraints
-    /// through the normal [`add`](Solver::add) API — or even partially
-    /// [`solve`](Solver::solve) — then move the graph, term arena, and
-    /// worklist into an engine with a different scheduling discipline.
-    /// The chain-search scratch, oracle logs, and observability recorder are
-    /// engine-local state and are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver was built with an oracle partition
-    /// ([`Solver::with_oracle`]): oracle aliasing rewrites variable creation
-    /// itself and cannot be replayed by an external engine.
-    pub fn into_engine_parts(self) -> EngineParts {
-        assert!(
-            self.oracle.is_none(),
-            "into_engine_parts: oracle-partitioned solvers cannot be decomposed"
-        );
-        EngineParts {
-            config: self.config,
-            cons: self.cons,
-            terms: self.terms,
-            graph: self.graph,
-            fwd: self.fwd,
-            order: self.order,
-            pending: self.pending,
-            stats: self.stats,
-            errors: self.errors,
-            one_term: self.one_term,
-            zero_term: self.zero_term,
-            source_terms: self.source_terms,
-            sink_terms: self.sink_terms,
-        }
     }
 
     /// Number of variable nodes ever created (including collapsed ones).
@@ -1676,40 +1598,6 @@ impl ConstraintBuilder for Solver {
 
     fn add(&mut self, lhs: impl Into<SetExpr>, rhs: impl Into<SetExpr>) {
         Solver::add(self, lhs, rhs)
-    }
-}
-
-impl crate::engine::Engine for Solver {
-    fn from_problem(problem: Problem) -> Self {
-        Solver::from_problem(problem)
-    }
-
-    fn solve(&mut self) {
-        Solver::solve(self)
-    }
-
-    fn solve_limited(&mut self, max_work: u64) -> bool {
-        Solver::solve_limited(self, max_work)
-    }
-
-    fn stats(&self) -> &Stats {
-        Solver::stats(self)
-    }
-
-    fn inconsistencies(&self) -> &[Inconsistency] {
-        Solver::inconsistencies(self)
-    }
-
-    fn census(&self) -> GraphCensus {
-        Solver::census(self)
-    }
-
-    fn find(&mut self, v: Var) -> Var {
-        Solver::find(self, v)
-    }
-
-    fn least_solution(&mut self) -> crate::least::LeastSolution {
-        Solver::least_solution(self)
     }
 }
 

@@ -8,10 +8,9 @@
 //! `docs/OBSERVABILITY.md`.
 //!
 //! [`Counters`] is a fixed array of atomics indexed by the enum
-//! discriminant: no hashing, no allocation, `O(1)` add — and, since the
-//! parallel engine landed, **`Sync`**: probes can fire from worker threads
-//! without a lock (`bane-par` shares one `&Counters` across its shard
-//! scanners). All operations use relaxed atomics — counters are statistics,
+//! discriminant: no hashing, no allocation, `O(1)` add — and **`Sync`**:
+//! probes can fire from worker threads without a lock. All operations use
+//! relaxed atomics — counters are statistics,
 //! not synchronization — and additions **saturate** at `u64::MAX` instead of
 //! wrapping, so a runaway probe can never flip a large figure into a small
 //! one. The single-threaded fast path is one uncontended compare-exchange,
@@ -92,130 +91,110 @@ pub enum Counter {
     /// Inconsistent constraints detected (`Stats::inconsistencies`).
     ErrorsInconsistencies = 23,
 
-    // -- parallel engine (bane-par, docs/PARALLELISM.md) ------------------
-    /// Frontier rounds executed by the parallel closure engine.
-    ParRounds = 24,
-    /// Proposals produced by parallel shard scans (one per frontier item).
-    ParProposals = 25,
-    /// Proposals applied by the deterministic commit phase.
-    ParCommits = 26,
-    /// Shard scans executed (rounds × active shards).
-    ParShardScans = 27,
-    /// Commit broadcasts executed: pool dispatches that ran one *batch* of
-    /// up to `K` propose/commit rounds. Equal to `par.rounds` at `K = 1`;
-    /// strictly smaller once batching amortizes dispatch.
-    ParCommitBroadcasts = 28,
-    /// Batches that ran their full `K` rounds (did not drain the frontier or
-    /// hit the work bound early).
-    ParBatchFull = 29,
-    /// Periodic cycle sweeps run at batch round boundaries
-    /// (`CycleElim::Periodic` under the frontier engine).
-    ParBatchSweeps = 30,
-
-    // -- search-kernel overhaul (DESIGN.md §4d) ---------------------------
+    // -- search-kernel overhaul (DESIGN.md §4e) ---------------------------
     /// Bounded cycle searches answered from the negative-verdict memo
     /// without traversal.
-    SearchMemoHit = 31,
+    SearchMemoHit = 24,
     /// Bounded cycle searches that ran a live traversal (memo miss or memo
     /// disabled/invalidated).
-    SearchMemoMiss = 32,
+    SearchMemoMiss = 25,
     /// Physical wraparound resets of epoch-stamped visited sets (once per
     /// 2^32 generations per set; expected 0 on real runs).
-    EpochResets = 33,
+    EpochResets = 26,
     /// CSR snapshots built for the least-solution kernel.
-    CsrBuilds = 34,
+    CsrBuilds = 27,
 
     // -- difference propagation (DESIGN.md §4f) ---------------------------
     /// Least-solution variables evaluated by a full merge (first visit, or
     /// difference propagation off).
-    LsDeltaFull = 35,
+    LsDeltaFull = 28,
     /// Least-solution variables evaluated incrementally from predecessor
     /// deltas.
-    LsDeltaIncr = 36,
+    LsDeltaIncr = 29,
     /// Elements fed into incremental merges (the traffic difference
     /// propagation still pays for).
-    LsDeltaIn = 37,
+    LsDeltaIn = 30,
     /// Elements those merges actually added; `in - fresh` is the redundant
     /// traffic that difference propagation exposes.
-    LsDeltaFresh = 38,
+    LsDeltaFresh = 31,
 
     // -- solution-set backends (DESIGN.md §4f) ----------------------------
     /// Distinct 256-bit payload blocks interned by the bitmap/hybrid
     /// backends' shared arena.
-    SolsetBlocks = 39,
+    SolsetBlocks = 32,
     /// Interns answered by an existing block (payloads physically shared
     /// across variables).
-    SolsetBlocksShared = 40,
+    SolsetBlocksShared = 33,
     /// Hybrid rows promoted from sorted-span to bitmap past the density
     /// threshold.
-    SolsetPromotions = 41,
+    SolsetPromotions = 34,
     /// Approximate heap bytes held by the active backend's set storage.
-    SolsetBytes = 42,
+    SolsetBytes = 35,
 
     // -- snapshot serving (bane-snap, docs/SERVING.md) --------------------
     /// Bytes written by the on-disk snapshot writer (file size including
     /// header and padding).
-    SnapBytesWritten = 43,
+    SnapBytesWritten = 36,
     /// Snapshot files loaded into a `QueryIndex`.
-    SnapLoads = 44,
+    SnapLoads = 37,
     /// Bytes mapped (or copied into the owned-buffer fallback) by loads.
-    SnapBytesMapped = 45,
+    SnapBytesMapped = 38,
     /// Queries answered by `QueryIndex` (only counted when a recorder is
     /// attached to the instrumented entry points; the lock-free hot path
     /// itself is uninstrumented).
-    SnapQueries = 46,
+    SnapQueries = 39,
 
     // -- incremental serving (bane-serve, docs/INCREMENTAL.md) ------------
     /// `Delta` batches applied to a live `Session`.
-    ServeDeltaApplied = 47,
+    ServeDeltaApplied = 40,
     /// Deltas taken through the monotone fast path (constraints fed into
     /// the live solver; prior sets reused as lower bounds).
-    ServeDeltaMonotone = 48,
+    ServeDeltaMonotone = 41,
     /// Deltas that removed constraints and fell back to replaying the
     /// canonical constraint sequence into a fresh solver.
-    ServeDeltaReplayed = 49,
+    ServeDeltaReplayed = 42,
     /// SCC condensation levels containing at least one dirty variable in
     /// the most recent re-solve (gauge; compare against the level total).
-    ServeDirtyLevels = 50,
+    ServeDirtyLevels = 43,
     /// Variables whose least-solution span was recomputed in the most
     /// recent re-solve (gauge).
-    ServeDirtyVars = 51,
+    ServeDirtyVars = 44,
     /// Variables whose retained least-solution span was reused verbatim
     /// across a `Delta` application.
-    ServeReuseHit = 52,
+    ServeReuseHit = 45,
 
     // -- fleet serving (bane-serve ShardManager, docs/SERVING.md) ---------
     /// Per-shard deltas dispatched by the fleet router (one per shard a
     /// batch actually touched).
-    FleetDeltaRouted = 53,
+    FleetDeltaRouted = 46,
     /// Variable creations replicated across the fleet by the `AddVars`
     /// fan-out (`n` requested vars on an `S`-shard fleet count `n * S`).
-    FleetVarsFanout = 54,
+    FleetVarsFanout = 47,
     /// Delta batches rejected atomically at the shard boundary (a group
     /// straddled owner classes, moved owners, or named a dead group).
-    FleetRejectCrossShard = 55,
+    FleetRejectCrossShard = 48,
     /// Per-shard snapshots republished into a `SnapshotHub`.
-    FleetPublish = 56,
+    FleetPublish = 49,
 
     // -- provenance fast-apply (bane-serve ApplyMode::Fast) ---------------
     /// Non-monotone deltas repaired in place by the provenance fast path
     /// (retraction + semi-naive refire, no replay).
-    ServeFastRepaired = 57,
+    ServeFastRepaired = 50,
     /// Non-monotone deltas on a Fast session that invalidated a recorded
     /// cycle collapse and fell back to canonical replay.
-    ServeFastFallback = 58,
+    ServeFastFallback = 51,
     /// Graph edges removed by provenance retraction across fast repairs.
-    ServeFastRetractedEdges = 59,
+    ServeFastRetractedEdges = 52,
     /// Smallest per-shard live-constraint count across the fleet (gauge;
     /// refreshed by `ShardManager` after every routed batch).
-    FleetBalanceMin = 60,
+    FleetBalanceMin = 53,
     /// Largest per-shard live-constraint count across the fleet (gauge).
-    FleetBalanceMax = 61,
+    FleetBalanceMax = 54,
 }
 
 impl Counter {
     /// Number of registered counters.
-    pub const COUNT: usize = 62;
+    pub const COUNT: usize = 55;
 
     /// Every counter, in canonical report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -243,13 +222,6 @@ impl Counter {
         Counter::GenConstraints,
         Counter::GenLocations,
         Counter::ErrorsInconsistencies,
-        Counter::ParRounds,
-        Counter::ParProposals,
-        Counter::ParCommits,
-        Counter::ParShardScans,
-        Counter::ParCommitBroadcasts,
-        Counter::ParBatchFull,
-        Counter::ParBatchSweeps,
         Counter::SearchMemoHit,
         Counter::SearchMemoMiss,
         Counter::EpochResets,
@@ -310,13 +282,6 @@ impl Counter {
             Counter::GenConstraints => "gen.constraints",
             Counter::GenLocations => "gen.locations",
             Counter::ErrorsInconsistencies => "errors.inconsistencies",
-            Counter::ParRounds => "par.rounds",
-            Counter::ParProposals => "par.proposals",
-            Counter::ParCommits => "par.commits",
-            Counter::ParShardScans => "par.shard-scans",
-            Counter::ParCommitBroadcasts => "par.commit.broadcasts",
-            Counter::ParBatchFull => "par.batch.full",
-            Counter::ParBatchSweeps => "par.batch.sweeps",
             Counter::SearchMemoHit => "search.memo.hit",
             Counter::SearchMemoMiss => "search.memo.miss",
             Counter::EpochResets => "epoch.resets",
@@ -504,13 +469,13 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        c.add(Counter::ParProposals, 1);
+                        c.add(Counter::WorkTotal, 1);
                     }
                     c.max(Counter::SearchMaxVisits, 17);
                 });
             }
         });
-        assert_eq!(c.get(Counter::ParProposals), 4000);
+        assert_eq!(c.get(Counter::WorkTotal), 4000);
         assert_eq!(c.get(Counter::SearchMaxVisits), 17);
     }
 

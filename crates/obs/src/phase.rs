@@ -55,32 +55,24 @@ pub enum Phase {
     OraclePartition = 6,
     /// The least-solution pass (Section 2.4, equation (1)).
     LeastSolution = 7,
-    /// Parallel frontier scan: workers proposing edges against the frozen
-    /// graph (`bane-par`, docs/PARALLELISM.md). One call per shard scan.
-    ParScan = 8,
-    /// Deterministic commit of a round's proposals (`bane-par`).
-    ParCommit = 9,
-    /// The SCC-level-parallel least-solution pass (`bane-par`).
-    ParLeast = 10,
-    /// One batched frontier broadcast: up to `K` propose/commit rounds
-    /// executed inside a single pool dispatch (`bane-par` batching).
-    /// Encloses the per-round `ParScan`/`ParCommit` attributions.
-    ParBatch = 11,
+    /// The SCC-level-parallel least-solution pass (`bane-par`,
+    /// docs/PARALLELISM.md).
+    ParLeast = 8,
     /// Freezing the post-closure graph into the CSR least-solution snapshot
-    /// (DESIGN.md §4d). Nested inside `LeastSolution`/`ParLeast`.
-    CsrBuild = 12,
+    /// (DESIGN.md §4e). Nested inside `LeastSolution`/`ParLeast`.
+    CsrBuild = 9,
     /// Loading an on-disk snapshot into a read-only `QueryIndex`
     /// (`bane-snap`, docs/SERVING.md): open, map/read, validate, checksum.
-    SnapLoad = 13,
+    SnapLoad = 10,
     /// Applying a `Delta` batch to a live `Session` (`bane-serve`,
     /// docs/INCREMENTAL.md): dirty-set computation, re-solve, and the
     /// level-restricted least-solution revalidation.
-    ServeApply = 14,
+    ServeApply = 11,
 }
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 12;
 
     /// Every phase, in canonical report order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -92,10 +84,7 @@ impl Phase {
         Phase::OfflinePass,
         Phase::OraclePartition,
         Phase::LeastSolution,
-        Phase::ParScan,
-        Phase::ParCommit,
         Phase::ParLeast,
-        Phase::ParBatch,
         Phase::CsrBuild,
         Phase::SnapLoad,
         Phase::ServeApply,
@@ -112,10 +101,7 @@ impl Phase {
             Phase::OfflinePass => "offline-pass",
             Phase::OraclePartition => "oracle-partition",
             Phase::LeastSolution => "least-solution",
-            Phase::ParScan => "par-scan",
-            Phase::ParCommit => "par-commit",
             Phase::ParLeast => "par-least",
-            Phase::ParBatch => "par-batch",
             Phase::CsrBuild => "csr-build",
             Phase::SnapLoad => "snap-load",
             Phase::ServeApply => "serve-apply",

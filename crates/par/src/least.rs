@@ -262,8 +262,8 @@ fn wants_bitmap(kind: SolSetKind, input_len: usize) -> bool {
 
 /// A reusable SCC-level-parallel least-solution evaluator.
 ///
-/// Feed it [`LeastParts`] (borrowed from a solved [`Solver`] or assembled by
-/// an engine that owns the parts) via [`run`](ParLeast::run) — or
+/// Feed it [`LeastParts`] (borrowed from a solved [`Solver`]) via
+/// [`run`](ParLeast::run) — or
 /// [`run_with`](ParLeast::run_with) to select a solution-set backend and
 /// difference propagation — then read the result with
 /// [`solution`](ParLeast::solution). The output is byte-identical to

@@ -1,56 +1,29 @@
-//! Deterministic parallel execution engines for the bane constraint solver.
+//! Deterministic parallel least-solution evaluation for the bane constraint
+//! solver.
 //!
-//! The paper's solver is sequential; this crate adds parallelism **without
-//! giving up reproducibility**. Both engines follow the same discipline —
-//! *parallel proposal against frozen state, sequential commit in a fixed
-//! order* — so every observable output (graphs, statistics including the
-//! Work metric, inconsistency lists, least solutions down to the byte) is
-//! identical at every thread count. The regression story stays intact: a
-//! snapshot taken at `--threads 8` pins the same numbers as one taken
-//! sequentially.
-//!
-//! Two engines:
-//!
-//! - [`ParLeast`] (module [`least`]): SCC-level-parallel least-solution
-//!   evaluation. The inductive-form invariant makes the canonical
-//!   predecessor graph a DAG; its condensation levels are dependency-free
-//!   batches whose variables workers evaluate concurrently. Output is
-//!   **byte-identical** to `Solver::least_solution` (the `LeastSolution`
-//!   `PartialEq` compares raw buffers, so tests pin exactly that).
-//! - [`FrontierSolver`] (module [`frontier`]): round-based frontier-batched
-//!   closure. Workers scan disjoint chunks of the pending-constraint
-//!   frontier against the frozen round-start state and *propose*; a
-//!   sequential committer applies proposals in frontier order with
-//!   epoch-validated cycle-search verdicts (the private `shard` and
-//!   `commit` modules). Rounds are grouped into **batches** of up to `K`
-//!   rounds per pool dispatch (the private `batch` module), amortizing
-//!   spawn/join overhead without changing a single observable — and
-//!   `CycleElim::Periodic` runs its offline sweeps at round boundaries
-//!   inside the batch loop.
-//!
-//! Both engines implement `bane-core`'s `ConstraintBuilder`/`Engine` traits,
-//! so harness code builds a `Problem` once and hands it to either engine via
-//! `Engine::from_problem`.
+//! The paper's solver is sequential, and so is resolution here. This crate
+//! parallelizes the pass that follows it **without giving up
+//! reproducibility**: [`ParLeast`] (module [`least`]) evaluates the least
+//! solution level by level over the SCC condensation of the canonical
+//! predecessor graph. The inductive-form invariant makes that graph a DAG;
+//! its condensation levels are dependency-free batches whose variables
+//! workers evaluate concurrently, and the results are committed in a fixed
+//! order. Output is **byte-identical** to `Solver::least_solution` at every
+//! thread count (the `LeastSolution` `PartialEq` compares raw buffers, so
+//! tests pin exactly that). `bane-serve` sessions revalidate through
+//! [`ParLeast::run_revalidate`] after every applied delta.
 //!
 //! Worker scheduling is the deliberately boring [`pool`] module: scoped
 //! threads, deterministic [`chunk_range`] partitioning, and a
 //! single-threaded fast path that is a plain function call (and, once warm,
 //! allocation-free — pinned by `bane-core`'s allocation test).
 //!
-//! See `docs/PARALLELISM.md` for the determinism argument and the
-//! commit-order guarantee (including under `K > 1` batching), and
-//! `BENCH_4.json` for measured scaling.
+//! See `docs/PARALLELISM.md` for the determinism argument.
 
 #![deny(missing_docs)]
 
-mod batch;
-mod commit;
-mod shard;
-
-pub mod frontier;
 pub mod least;
 pub mod pool;
 
-pub use frontier::{BatchRounds, FrontierSolver};
 pub use least::{least_solution, ParLeast, RevalidateOutcome};
 pub use pool::{available_threads, chunk_range, Pool};

@@ -1,7 +1,7 @@
 //! A minimal scoped worker pool and deterministic work partitioning.
 //!
-//! The engines in this crate never hand work out dynamically: every parallel
-//! region partitions its items with [`chunk_range`], a pure function of
+//! This crate never hands work out dynamically: every parallel region
+//! partitions its items with [`chunk_range`], a pure function of
 //! `(len, threads, worker)`. Determinism then needs no further machinery —
 //! each worker always sees the same items in the same order, at every thread
 //! count, on every run.
@@ -10,9 +10,8 @@
 //! index on scoped threads (the calling thread doubles as worker 0) and
 //! joins them all. With one thread it is a plain function call — no spawn,
 //! no synchronization, no allocation — which is what keeps the
-//! single-threaded paths of [`ParLeast`](crate::ParLeast) and
-//! [`FrontierSolver`](crate::FrontierSolver) allocation-free and
-//! overhead-free.
+//! single-threaded path of [`ParLeast`](crate::ParLeast) allocation-free
+//! and overhead-free.
 
 /// Number of logical CPUs the host reports, or 1 if unknown.
 pub fn available_threads() -> usize {

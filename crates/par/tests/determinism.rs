@@ -1,36 +1,35 @@
-//! The engine's central contract: every observable output is identical at
-//! every thread count *and every batch size `K`*, and the parallel least
-//! solution is byte-identical to the sequential pass.
+//! The level-parallel least solution's contract: [`ParLeast`] output is
+//! byte-identical to the sequential `Solver::least_solution` at every
+//! thread count.
 //!
 //! Two layers of evidence:
 //!
-//! - a property test over randomized synthetic constraint systems (chains,
-//!   cycles, term structure, sources, sinks) comparing `FrontierSolver` runs
-//!   at every (threads, K) in {1, 2, 4, 8} × {1, 2, 8} field by field —
-//!   stats (the paper's Work metric included), census, inconsistencies,
-//!   finds, rounds, and the least solution down to the byte — including
-//!   `CycleElim::Periodic` configurations, whose offline sweeps run at
-//!   round boundaries inside batches;
-//! - a golden run on the paper-suite `povray-2.2` stand-in program through
-//!   the real Andersen front end, additionally cross-checked *semantically*
-//!   against the sequential `Solver` (the round schedule legitimately
-//!   differs from FIFO, so order-dependent stats may differ, but resolved
-//!   sets must not).
-//!
-//! Systems are recorded once into a [`Problem`] and replayed into every
-//! engine via `Engine::from_problem`, so all runs see the numerically
-//! identical constraint system by construction.
+//! - property tests over randomized synthetic constraint systems (chains,
+//!   cycles, term structure, sources, sinks) in every form and
+//!   cycle-elimination mode, including `CycleElim::Periodic`. Each system
+//!   is fed to the solver in batches of `K` constraints with a solve after
+//!   every batch; after each one, `ParLeast` at 1, 2, 4 and 8 threads —
+//!   from scratch and by difference propagation across batches — must be
+//!   byte-identical to the sequential pass. A second test checks that the
+//!   batched runs agree *semantically* with one-shot sequential solving
+//!   (the collapse schedule legitimately differs, so representatives may
+//!   differ, but resolved sets and inconsistency sets must not);
+//! - golden runs on the paper-suite `povray-2.2` stand-in program through
+//!   the real Andersen front end, checking the CSR snapshot the pass reads
+//!   and the pass's output.
 
 use bane_core::prelude::*;
-use bane_par::{least_solution, BatchRounds, FrontierSolver, ParLeast};
+use bane_par::{least_solution, ParLeast};
 use bane_points_to::andersen;
 use bane_synth::suite::{suite_program, PAPER_SUITE};
 use bane_util::SplitMix64;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const BATCH_ROUNDS: [usize; 3] = [1, 2, 8];
+/// Constraints per solve; `usize::MAX` emits the whole system at once.
+const BATCH_SIZES: [usize; 3] = [8, 64, usize::MAX];
 
-/// Emits a randomized constraint system through any [`ConstraintBuilder`].
+/// A randomized constraint system, emitted into a fresh solver per
+/// configuration.
 struct SynthSystem {
     n_vars: usize,
     n_cons: usize,
@@ -77,76 +76,54 @@ impl SynthSystem {
         SynthSystem { n_vars, n_cons, edges, srcs, snks, pairs }
     }
 
-    /// The one emission sequence, generic over the builder: every engine
-    /// sees identical identifiers because `Problem` mirrors the builtin
-    /// prefix registration.
-    fn emit<B: ConstraintBuilder>(&self, f: &mut B) {
-        let vs: Vec<Var> = (0..self.n_vars).map(|_| f.fresh_var()).collect();
+    /// Registers this system's variables, constructors and terms in `s`
+    /// and returns its constraints in emission order.
+    fn emit(&self, s: &mut Solver) -> Vec<(SetExpr, SetExpr)> {
+        let vs: Vec<Var> = (0..self.n_vars).map(|_| s.fresh_var()).collect();
         let cons: Vec<_> =
-            (0..self.n_cons).map(|k| f.register_nullary(format!("c{k}"))).collect();
+            (0..self.n_cons).map(|k| s.register_nullary(format!("c{k}"))).collect();
         let pair_con =
-            f.register_con("pair", vec![Variance::Covariant, Variance::Contravariant]);
+            s.register_con("pair", vec![Variance::Covariant, Variance::Contravariant]);
+        let mut out = Vec::new();
         for &(a, b) in &self.edges {
-            f.add(vs[a], vs[b]);
+            out.push((vs[a].into(), vs[b].into()));
         }
         for &(k, at) in &self.srcs {
-            let t = f.term(cons[k], vec![]);
-            f.add(t, vs[at]);
+            let t = s.term(cons[k], vec![]);
+            out.push((t.into(), vs[at].into()));
         }
         for &(k, at) in &self.snks {
-            let t = f.term(cons[k], vec![]);
-            f.add(vs[at], t);
+            let t = s.term(cons[k], vec![]);
+            out.push((vs[at].into(), t.into()));
         }
         for &(a, b, mid) in &self.pairs {
-            let src = f.term(pair_con, vec![vs[a].into(), vs[b].into()]);
-            let snk = f.term(pair_con, vec![vs[b].into(), vs[a].into()]);
-            f.add(src, vs[mid]);
-            f.add(vs[mid], snk);
+            let src = s.term(pair_con, vec![vs[a].into(), vs[b].into()]);
+            let snk = s.term(pair_con, vec![vs[b].into(), vs[a].into()]);
+            out.push((src.into(), vs[mid].into()));
+            out.push((vs[mid].into(), snk.into()));
         }
+        out
     }
 
-    fn problem(&self, config: SolverConfig) -> Problem {
-        let mut p = Problem::new(config);
-        self.emit(&mut p);
-        p
-    }
-
-    fn build(&self, config: SolverConfig, threads: usize, batch_rounds: usize) -> FrontierSolver {
-        let mut f = FrontierSolver::from_problem(self.problem(config));
-        f.set_threads(threads);
-        f.set_batch_rounds(batch_rounds);
-        f
-    }
-
-    fn build_sequential(&self, config: SolverConfig) -> Solver {
-        Solver::from_problem(self.problem(config))
-    }
-}
-
-/// Everything a run exposes, gathered for whole-value comparison. `rounds`
-/// is included deliberately: the round sequence itself must be invariant
-/// under both thread count and batch size (batches only group rounds).
-#[derive(Debug, PartialEq)]
-struct Observed {
-    stats: Stats,
-    census: bane_core::graph::GraphCensus,
-    errors: Vec<Inconsistency>,
-    rounds: u64,
-    finds: Vec<Var>,
-    ls: LeastSolution,
-}
-
-fn observe(mut f: FrontierSolver) -> Observed {
-    Engine::solve(&mut f);
-    let finds = (0..f.graph_len()).map(|i| Engine::find(&mut f, Var::new(i))).collect();
-    let ls = Engine::least_solution(&mut f);
-    Observed {
-        stats: *Engine::stats(&f),
-        census: Engine::census(&f),
-        errors: Engine::inconsistencies(&f).to_vec(),
-        rounds: f.rounds(),
-        finds,
-        ls,
+    /// Solves this system under `config`, adding `batch` constraints at a
+    /// time and calling `after_batch` after the solve that follows each
+    /// batch. Returns the fully solved solver.
+    fn solve_batched(
+        &self,
+        config: SolverConfig,
+        batch: usize,
+        mut after_batch: impl FnMut(&mut Solver),
+    ) -> Solver {
+        let mut s = Solver::new(config);
+        let constraints = self.emit(&mut s);
+        for chunk in constraints.chunks(batch) {
+            for &(lhs, rhs) in chunk {
+                s.add(lhs, rhs);
+            }
+            s.solve();
+            after_batch(&mut s);
+        }
+        s
     }
 }
 
@@ -169,33 +146,31 @@ fn property_configs() -> [SolverConfig; 6] {
 
 #[test]
 fn synthetic_systems_reproduce_at_every_thread_count_and_batch_size() {
+    let mut fresh = ParLeast::new();
     for config in property_configs() {
         for seed in 0..5u64 {
             let sys = SynthSystem::new(seed);
-            let baseline = observe(sys.build(config, THREADS[0], BATCH_ROUNDS[0]));
-            for &threads in &THREADS {
-                for &k in &BATCH_ROUNDS {
-                    if (threads, k) == (THREADS[0], BATCH_ROUNDS[0]) {
-                        continue;
+            for &batch in &BATCH_SIZES {
+                // One difference-propagating evaluator per thread count, each
+                // carrying its own baseline from one batch to the next.
+                let mut diffs: Vec<ParLeast> = THREADS.iter().map(|_| ParLeast::new()).collect();
+                let mut solves = 0;
+                sys.solve_batched(config, batch, |solver| {
+                    solves += 1;
+                    let seq = solver.least_solution();
+                    let parts = solver.least_parts();
+                    for (&threads, diff) in THREADS.iter().zip(&mut diffs) {
+                        let label = format!(
+                            "{config:?} seed {seed} K={batch} solve {solves}: \
+                             {threads}-thread least solution not byte-identical"
+                        );
+                        fresh.run(&parts, threads, None);
+                        assert_eq!(fresh.solution(), seq, "{label} (from scratch)");
+                        diff.run_with(&parts, threads, SolSetKind::SortedSpan, true, None);
+                        assert_eq!(diff.solution(), seq, "{label} (difference propagation)");
                     }
-                    let run = observe(sys.build(config, threads, k));
-                    assert_eq!(
-                        run, baseline,
-                        "{config:?} seed {seed}: ({threads} threads, K={k}) diverged \
-                         from (1 thread, K=1)"
-                    );
-                }
-                // Adaptive K sits on the same baseline: Auto only regroups
-                // rounds into batches, never changes what a round computes.
-                let mut f = FrontierSolver::from_problem(sys.problem(config));
-                f.set_threads(threads);
-                f.set_batch_rounds(BatchRounds::Auto);
-                let run = observe(f);
-                assert_eq!(
-                    run, baseline,
-                    "{config:?} seed {seed}: ({threads} threads, K=Auto) diverged \
-                     from (1 thread, K=1)"
-                );
+                });
+                assert!(solves > 0, "every batch size solves at least once");
             }
         }
     }
@@ -210,98 +185,38 @@ fn synthetic_systems_agree_semantically_with_sequential_solver() {
     for config in [SolverConfig::if_online(), SolverConfig::sf_online(), periodic] {
         for seed in 0..5u64 {
             let sys = SynthSystem::new(seed);
-            let mut seq = sys.build_sequential(config);
-            seq.solve();
+            let mut seq = sys.solve_batched(config, usize::MAX, |_| {});
             let n = seq.graph_len();
             let seq_ls = seq.least_solution();
-            // Compare the *sets* of inconsistencies: how many times the
-            // same mismatch is re-derived is a schedule artifact (e.g.
-            // periodic sweeps fire mid-queue sequentially but at round
-            // boundaries in the frontier engine).
+            // Compare the *sets* of inconsistencies: how many times the same
+            // mismatch is re-derived is a schedule artifact.
             let mut seq_errors = seq.inconsistencies().to_vec();
             seq_errors.sort_by_key(error_key);
             seq_errors.dedup();
 
-            let par = observe(sys.build(config, 4, 8));
-            let mut par_errors = par.errors.clone();
-            par_errors.sort_by_key(error_key);
-            par_errors.dedup();
-            assert_eq!(par_errors, seq_errors, "{config:?} seed {seed}: inconsistency sets");
+            let mut par = ParLeast::new();
+            let batched = sys.solve_batched(config, 8, |solver| {
+                par.run_with(&solver.least_parts(), 4, SolSetKind::SortedSpan, true, None);
+            });
+            assert_eq!(batched.graph_len(), n, "{config:?} seed {seed}: variable count");
+            let mut batched_errors = batched.inconsistencies().to_vec();
+            batched_errors.sort_by_key(error_key);
+            batched_errors.dedup();
+            assert_eq!(batched_errors, seq_errors, "{config:?} seed {seed}: inconsistency sets");
+            let par_ls = par.solution();
             for i in 0..n {
                 let v = Var::new(i);
                 assert_eq!(
-                    par.ls.get(v),
+                    par_ls.get(v),
                     seq_ls.get(v),
-                    "{config:?} seed {seed}: LS(v{i}) diverged from sequential"
+                    "{config:?} seed {seed}: LS(v{i}) diverged from one-shot sequential"
                 );
             }
         }
     }
 }
 
-/// Staleness validation inside one batch: a collapse committed in an early
-/// round must invalidate frozen no-cycle verdicts proposed in a later round
-/// of the *same* batch.
-///
-/// Round 1's frontier carries a direct 2-cycle (`x ⊆ y`, `y ⊆ x`): the
-/// second commit's frozen no-cycle verdict goes stale against the first
-/// insert, reruns live, and collapses. Rounds 2–3 then derive a second
-/// 2-cycle through constructor decomposition (`pair(u) ⊆ mid ⊆ pair(w)` ⇒
-/// `u ⊆ w`, and symmetrically `w ⊆ u`), whose halves meet in round 3 —
-/// after the round-1 collapse already advanced the forwarding epoch within
-/// the batch. With `K = 8` all of this runs inside a single broadcast
-/// (`batches() == 1`), and every observable must match the unbatched run.
-#[test]
-fn collapse_in_early_batch_round_invalidates_later_frozen_verdicts() {
-    fn build(threads: usize, k: usize) -> FrontierSolver {
-        let mut p = Problem::new(SolverConfig::if_online());
-        let pair = p.register_con("pair", vec![Variance::Covariant]);
-        let (x, y) = (p.fresh_var(), p.fresh_var());
-        let (u, w) = (p.fresh_var(), p.fresh_var());
-        let (mid, mid2) = (p.fresh_var(), p.fresh_var());
-        // Direct 2-cycle: collapses during round 1's commit.
-        p.add(x, y);
-        p.add(y, x);
-        // Derived 2-cycle: `u ⊆ w` and `w ⊆ u` surface in round 3 via
-        // source/sink meeting (round 1) and decomposition (round 2).
-        let src_u = p.term(pair, vec![u.into()]);
-        let snk_w = p.term(pair, vec![w.into()]);
-        let src_w = p.term(pair, vec![w.into()]);
-        let snk_u = p.term(pair, vec![u.into()]);
-        p.add(src_u, mid);
-        p.add(mid, snk_w);
-        p.add(src_w, mid2);
-        p.add(mid2, snk_u);
-        let mut f = FrontierSolver::from_problem(p);
-        f.set_threads(threads);
-        f.set_batch_rounds(k);
-        f
-    }
-
-    let mut baseline: Option<Observed> = None;
-    for &threads in &THREADS {
-        for &k in &BATCH_ROUNDS {
-            let mut f = build(threads, k);
-            Engine::solve(&mut f);
-            let label = format!("threads {threads} K {k}");
-            assert_eq!(
-                Engine::stats(&f).cycles_collapsed,
-                2,
-                "{label}: both the direct and the derived cycle must collapse"
-            );
-            if k == 8 {
-                assert_eq!(f.batches(), 1, "{label}: one broadcast covers the whole run");
-            }
-            let run = observe(build(threads, k));
-            match &baseline {
-                None => baseline = Some(run),
-                Some(b) => assert_eq!(&run, b, "{label}: diverged from (1 thread, K=1)"),
-            }
-        }
-    }
-}
-
-/// A stable sort key for inconsistency multiset comparison (the engines may
+/// A stable sort key for inconsistency set comparison (schedules may
 /// discover the same errors in different orders).
 fn error_key(e: &Inconsistency) -> (u8, u32, u32) {
     match *e {
@@ -378,61 +293,4 @@ fn parallel_least_solution_is_byte_identical_on_povray_standin() {
         );
         assert_eq!(least_solution(&solver, threads), seq);
     }
-}
-
-#[test]
-fn frontier_engine_reproduces_and_agrees_on_povray_standin() {
-    let mut seq = povray_solver();
-    seq.solve();
-    let n = seq.graph_len();
-    let seq_ls = seq.least_solution();
-
-    let frontier = |threads: usize, k: usize| {
-        let mut f = FrontierSolver::from_solver(povray_solver(), threads);
-        f.set_batch_rounds(k);
-        f
-    };
-    let baseline = observe(frontier(THREADS[0], BATCH_ROUNDS[0]));
-    for &threads in &THREADS[1..] {
-        for &k in &BATCH_ROUNDS {
-            let run = observe(frontier(threads, k));
-            assert_eq!(
-                run, baseline,
-                "povray stand-in: ({threads} threads, K={k}) frontier run diverged \
-                 from (1 thread, K=1)"
-            );
-        }
-    }
-    // The stand-in's inconsistencies (if any) must match the sequential
-    // run's as a multiset; discovery order may differ across schedules.
-    let mut seq_errors = seq.inconsistencies().to_vec();
-    seq_errors.sort_by_key(error_key);
-    let mut par_errors = baseline.errors.clone();
-    par_errors.sort_by_key(error_key);
-    assert_eq!(par_errors, seq_errors, "povray stand-in: inconsistency sets");
-    for i in 0..n {
-        let v = Var::new(i);
-        assert_eq!(
-            baseline.ls.get(v),
-            seq_ls.get(v),
-            "povray stand-in: frontier LS(v{i}) diverged from sequential"
-        );
-    }
-}
-
-/// Fewer broadcasts at higher `K` on the stand-in — the batching win the
-/// BENCH_4 snapshot records as `par.commit.broadcasts`.
-#[test]
-fn batching_reduces_broadcasts_on_povray_standin() {
-    let run = |k: usize| {
-        let mut f = FrontierSolver::from_solver(povray_solver(), 2);
-        f.set_batch_rounds(k);
-        Engine::solve(&mut f);
-        (f.batches(), f.rounds())
-    };
-    let (b1, r1) = run(1);
-    let (b8, r8) = run(8);
-    assert_eq!(r1, r8, "round sequence is K-invariant");
-    assert_eq!(b1, r1, "K = 1: one broadcast per round");
-    assert!(b8 < b1, "K = 8 must use strictly fewer broadcasts ({b8} vs {b1})");
 }

@@ -40,10 +40,10 @@ pub struct GenStats {
 }
 
 /// Generates Andersen constraints for `program` into any
-/// [`ConstraintBuilder`] — a [`Solver`], a `FrontierSolver`, or a plain
-/// [`Problem`] to be handed to an engine later.
+/// [`ConstraintBuilder`] — a [`Solver`] or a plain [`Problem`] to be handed
+/// to [`Solver::from_problem`] later.
 ///
-/// Does **not** solve; callers time [`Engine::solve`] separately (that is the
+/// Does **not** solve; callers time [`Solver::solve`] separately (that is the
 /// quantity the paper's tables report). Returns the location table.
 pub fn generate<B: ConstraintBuilder>(program: &Program, solver: &mut B) -> (Locations, GenStats) {
     let mut gen = Gen::new(solver);

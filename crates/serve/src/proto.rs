@@ -69,7 +69,7 @@ use bane_core::prelude::*;
 use bane_core::Variance;
 use bane_util::idx::Idx;
 
-use crate::delta::{Delta, GroupId};
+use crate::delta::{Delta, DeltaOp, GroupId};
 use crate::fleet::ShardManager;
 use crate::session::Session;
 
@@ -325,6 +325,66 @@ fn check_vars(vars: &[Var], known: impl Fn(Var) -> bool) -> Result<(), Response>
     }
 }
 
+/// The `err` reply for the first id in `exprs` that `solver` does not know.
+/// Variables `pending` stages count as known: they exist once it commits.
+fn check_exprs<'a>(
+    solver: &Solver,
+    pending: &Delta,
+    exprs: impl IntoIterator<Item = &'a SetExpr>,
+) -> Result<(), Response> {
+    let staged: usize = pending
+        .ops()
+        .iter()
+        .map(|op| match op {
+            DeltaOp::AddVars(n) => *n as usize,
+            _ => 0,
+        })
+        .sum();
+    let vars = solver.graph_len() + staged;
+    for &e in exprs {
+        match e {
+            SetExpr::Var(v) => check_vars(&[v], |v| v.index() < vars)?,
+            SetExpr::Term(t) if t.index() >= solver.terms().len() => {
+                return Err(Response::Err(format!("unknown term t{}", t.index())));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// [`check_exprs`] over both sides of every constraint.
+fn check_constraints(
+    solver: &Solver,
+    pending: &Delta,
+    constraints: &[(SetExpr, SetExpr)],
+) -> Result<(), Response> {
+    check_exprs(solver, pending, constraints.iter().flat_map(|(l, r)| [l, r]))
+}
+
+/// Resolves a `term` request's constructor by name and checks its arity
+/// and argument ids, so interning cannot fail.
+fn check_term(
+    solver: &Solver,
+    pending: &Delta,
+    con: &str,
+    args: &[SetExpr],
+) -> Result<Con, Response> {
+    let Some((con, sig)) = solver.cons().iter().find(|(_, sig)| sig.name() == con) else {
+        return Err(Response::Err(format!("unknown constructor `{con}`")));
+    };
+    if sig.arity() != args.len() {
+        return Err(Response::Err(format!(
+            "constructor {} expects {} arguments, got {}",
+            sig.name(),
+            sig.arity(),
+            args.len()
+        )));
+    }
+    check_exprs(solver, pending, args)?;
+    Ok(con)
+}
+
 /// Whether two sorted, distinct slices intersect.
 pub(crate) fn intersects(a: &[TermId], b: &[TermId]) -> bool {
     let (mut i, mut j) = (0, 0);
@@ -350,24 +410,18 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             };
             Response::Ok(format!("c{}", con.index()))
         }
-        Request::Term { con, args } => {
-            let found = session
-                .solver()
-                .cons()
-                .iter()
-                .find(|(_, sig)| sig.name() == con)
-                .map(|(c, _)| c);
-            let Some(con) = found else {
-                return Response::Err(format!("unknown constructor `{con}`"));
-            };
-            let t = session.term(con, args);
-            Response::Ok(format!("t{}", t.index()))
-        }
+        Request::Term { con, args } => match check_term(session.solver(), pending, &con, &args) {
+            Ok(con) => Response::Ok(format!("t{}", session.term(con, args).index())),
+            Err(e) => e,
+        },
         Request::AddVars(n) => {
             pending.add_vars(n);
             Response::Ok(format!("staged {n} vars"))
         }
         Request::AddGroup(constraints) => {
+            if let Err(e) = check_constraints(session.solver(), pending, &constraints) {
+                return e;
+            }
             let n = constraints.len();
             pending.add_group(constraints);
             Response::Ok(format!("staged group ({n} constraints)"))
@@ -375,6 +429,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
         Request::EditGroup(g, constraints) => {
             if session.group(g).is_none() {
                 return Response::Err(format!("no such group {g}"));
+            }
+            if let Err(e) = check_constraints(session.solver(), pending, &constraints) {
+                return e;
             }
             let n = constraints.len();
             pending.edit_group(g, constraints);
@@ -464,25 +521,22 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             };
             Response::Ok(format!("c{}", con.index()))
         }
+        // Every shard holds the same constructors, terms and variables, so
+        // shard 0 answers for the fleet.
         Request::Term { con, args } => {
-            let found = fleet
-                .session(0)
-                .solver()
-                .cons()
-                .iter()
-                .find(|(_, sig)| sig.name() == con)
-                .map(|(c, _)| c);
-            let Some(con) = found else {
-                return Response::Err(format!("unknown constructor `{con}`"));
-            };
-            let t = fleet.term(con, args);
-            Response::Ok(format!("t{}", t.index()))
+            match check_term(fleet.session(0).solver(), pending, &con, &args) {
+                Ok(con) => Response::Ok(format!("t{}", fleet.term(con, args).index())),
+                Err(e) => e,
+            }
         }
         Request::AddVars(n) => {
             pending.add_vars(n);
             Response::Ok(format!("staged {n} vars"))
         }
         Request::AddGroup(constraints) => {
+            if let Err(e) = check_constraints(fleet.session(0).solver(), pending, &constraints) {
+                return e;
+            }
             let n = constraints.len();
             pending.add_group(constraints);
             Response::Ok(format!("staged group ({n} constraints)"))
@@ -490,6 +544,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
         Request::EditGroup(g, constraints) => {
             if fleet.group(g).is_none() {
                 return Response::Err(format!("no such group {g}"));
+            }
+            if let Err(e) = check_constraints(fleet.session(0).solver(), pending, &constraints) {
+                return e;
             }
             let n = constraints.len();
             pending.edit_group(g, constraints);
@@ -844,46 +901,69 @@ mod tests {
         assert_eq!(responses[18], "ok bye");
     }
 
-    /// Reads of ids the server never created answer `err`, on the session
-    /// path, the fleet path and the routed read, and the server keeps
-    /// serving afterwards.
+    /// Reads and staged frames naming ids the server never created answer
+    /// `err`, on the session path, the fleet path and the routed read, and
+    /// the server keeps serving afterwards. Variables staged by `vars` count
+    /// as known before they are committed.
     #[test]
     fn out_of_range_reads_are_typed_errors() {
+        // `None` marks a commit, whose reply differs between a session and
+        // a fleet; it must only succeed.
         let frames = [
-            "con c",
-            "term c",
-            "vars 3",
-            "group t2 <= v0 ; v0 <= v2", // one shard of two
-            "commit",
-            "points-to v999999",
-            "alias v0 v999999",
-            "alias v999999 v2",
-            "points-to v2",
-            "alias v0 v2",
+            ("con c", Some("ok c2")),
+            ("term c", Some("ok t2")),
+            ("vars 3", Some("ok staged 3 vars")),
+            // One shard of two owns every variable of this group.
+            ("group t2 <= v0 ; v0 <= v2", Some("ok staged group (2 constraints)")),
+            ("commit", None),
+            ("points-to v999999", Some("err unknown variable v999999")),
+            ("alias v0 v999999", Some("err unknown variable v999999")),
+            ("alias v999999 v2", Some("err unknown variable v999999")),
+            ("points-to v2", Some("ok {t2}")),
+            ("alias v0 v2", Some("ok yes")),
+            ("con d +", Some("ok c3")),
+            ("term d", Some("err constructor d expects 1 arguments, got 0")),
+            ("term c v0", Some("err constructor c expects 0 arguments, got 1")),
+            ("term d v4242", Some("err unknown variable v4242")),
+            ("term d t999", Some("err unknown term t999")),
+            ("group v0 <= v77777", Some("err unknown variable v77777")),
+            ("group t999 <= v0", Some("err unknown term t999")),
+            ("edit g0 v0 <= v77777", Some("err unknown variable v77777")),
+            ("vars 1", Some("ok staged 1 vars")),
+            ("term d v3", Some("ok t3")),
+            ("group t3 <= v3", Some("ok staged group (1 constraints)")),
+            ("commit", None),
+            ("points-to v3", Some("ok {t3}")),
         ];
-        let expect_tail = [
-            "err unknown variable v999999",
-            "err unknown variable v999999",
-            "err unknown variable v999999",
-            "ok {t2}",
-            "ok yes",
-        ];
+        let check = |replies: Vec<String>| {
+            for ((frame, want), got) in frames.iter().zip(&replies) {
+                match want {
+                    Some(want) => assert_eq!(got, want, "{frame}"),
+                    None => assert!(got.starts_with("ok committed"), "{frame}: {got}"),
+                }
+            }
+        };
         let mut session = crate::SessionBuilder::new().build();
         let mut pending = Delta::new();
-        let replies: Vec<String> = frames
-            .iter()
-            .map(|f| execute(&mut session, &mut pending, parse_request(f).unwrap()).render())
-            .collect();
-        assert_eq!(replies[5..], expect_tail);
+        check(
+            frames
+                .iter()
+                .map(|(f, _)| {
+                    execute(&mut session, &mut pending, parse_request(f).unwrap()).render()
+                })
+                .collect(),
+        );
 
         let mut fleet = ShardManager::new(&crate::SessionBuilder::new(), 2);
         let mut pending = Delta::new();
-        let replies: Vec<String> = frames
-            .iter()
-            .map(|f| execute_fleet(&mut fleet, &mut pending, parse_request(f).unwrap()).render())
-            .collect();
-        assert!(replies[4].starts_with("ok committed"), "{}", replies[4]);
-        assert_eq!(replies[5..], expect_tail);
+        check(
+            frames
+                .iter()
+                .map(|(f, _)| {
+                    execute_fleet(&mut fleet, &mut pending, parse_request(f).unwrap()).render()
+                })
+                .collect(),
+        );
         for (frame, want) in [
             ("route 1 points-to v999999", "err unknown variable v999999"),
             ("route 0 alias v0 v999999", "err unknown variable v999999"),

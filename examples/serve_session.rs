@@ -99,7 +99,7 @@ fn run_demo() {
     println!("== 1. build a system over the wire ==");
     // A source constructor and a copy chain: s ⊆ v0 ⊆ v1 ⊆ v2 ⊆ v3.
     let hello = ask(&mut client, "hello 2");
-    assert_eq!(hello, "ok proto=2 shards=1");
+    assert_eq!(hello, "ok proto=2 shards=1 mode=exact");
     let con = ask(&mut client, "con s");
     assert_eq!(con, "ok c2", "builtins 1/0 occupy the first two slots");
     let term = ask(&mut client, "term s");
@@ -170,7 +170,7 @@ fn run_fleet_demo(shards: usize) {
 
     println!("== 1. handshake ==");
     let hello = ask(&mut client, "hello 2");
-    assert_eq!(hello, format!("ok proto=2 shards={shards}"));
+    assert_eq!(hello, format!("ok proto=2 shards={shards} mode=exact"));
 
     println!("\n== 2. build per-shard chains from one source ==");
     ask(&mut client, "con s");
