@@ -1527,6 +1527,14 @@ impl Solver {
         &mut self.csr
     }
 
+    /// The CSR the last [`least_solution`](Solver::least_solution) pass
+    /// froze: canonical rows in layout order, the graph half of what
+    /// `bane-snap` serializes next to that solution. Empty before the first
+    /// pass, and stale once the graph changes again.
+    pub fn least_csr(&self) -> &crate::least::CsrSnapshot {
+        &self.csr
+    }
+
     /// The retained least-solution kernel slot for non-default solution-set
     /// backends (loaned out the same way as the CSR snapshot).
     pub(crate) fn ls_kernel_slot(&mut self) -> &mut Option<Box<crate::solset::KernelHolder>> {

@@ -114,14 +114,15 @@ enum ScanKind {
 /// The shared evaluation state: the arena sets are committed into, plus the
 /// span of every canonical variable already evaluated.
 ///
-/// Under difference propagation the arena persists across runs — unchanged
-/// variables keep their old spans — and each run additionally accumulates
-/// per-variable *delta* spans that same-run successors merge instead of the
-/// full sets.
+/// Between runs it holds the last run's solution, compacted by the closing
+/// relayout. A warm run (difference propagation or revalidation) keeps the
+/// spans of variables it does not recompute and appends the rest;
+/// difference propagation additionally accumulates per-variable *delta*
+/// spans that same-run successors merge instead of the full sets.
 #[derive(Clone, Debug, Default)]
 struct WorkBufs {
     arena: Vec<TermId>,
-    /// Indexed by raw variable index; `(0, 0)` until the variable's level
+    /// Indexed by raw variable index; empty until the variable's level
     /// commits (and forever, for collapsed variables and empty sets).
     spans: Vec<(u32, u32)>,
     /// This run's fresh elements per variable (sorted, distinct).
@@ -309,8 +310,10 @@ pub struct ParLeast {
     csr: CsrSnapshot,
     work: WorkBufs,
     workers: Vec<Mutex<WorkerState>>,
-    final_arena: Vec<TermId>,
-    final_spans: Vec<(u32, u32)>,
+    /// The relayout target, swapped with the working arena and spans after
+    /// every run (see [`relayout`](ParLeast::relayout)).
+    relayout_arena: Vec<TermId>,
+    relayout_spans: Vec<(u32, u32)>,
     /// The previous run's rows, representative map, and validity — the
     /// difference-propagation baseline (see the module docs).
     prev_csr: CsrSnapshot,
@@ -482,23 +485,7 @@ impl ParLeast {
             self.work = work.into_inner().expect("work lock poisoned");
         }
 
-        // Relayout into the sequential pass's exact arena order. Standard
-        // form commits a span for every canonical variable (empty sets get
-        // the degenerate `(k, k)`); inductive form leaves empty sets at
-        // `(0, 0)`.
-        self.final_arena.clear();
-        self.final_spans.clear();
-        self.final_spans.resize(n, (0, 0));
-        for &v in &self.layout {
-            let (s, e) = self.work.spans[v.index()];
-            if e > s || matches!(parts.form, Form::Standard) {
-                let start = u32::try_from(self.final_arena.len())
-                    .expect("least-solution arena overflow");
-                self.final_arena
-                    .extend_from_slice(&self.work.arena[s as usize..e as usize]);
-                self.final_spans[v.index()] = (start, start + (e - s));
-            }
-        }
+        self.relayout(parts.form);
 
         // Record this run as the next diff baseline: the stable arena plus
         // these rows and representatives are exactly what an incremental
@@ -508,9 +495,9 @@ impl ParLeast {
         self.prev_valid = true;
 
         if let Some(rec) = rec {
-            let set_vars = self.final_spans.iter().filter(|(s, e)| e > s).count();
+            let set_vars = self.work.spans.iter().filter(|(s, e)| e > s).count();
             rec.set(Counter::LsSetVars, set_vars as u64);
-            rec.set(Counter::LsEntries, self.final_arena.len() as u64);
+            rec.set(Counter::LsEntries, self.work.arena.len() as u64);
             if diff_active {
                 rec.add(Counter::LsDeltaFull, self.work.stat_full);
                 rec.add(Counter::LsDeltaIncr, self.work.stat_incr);
@@ -521,6 +508,32 @@ impl ParLeast {
                 rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
             }
         }
+    }
+
+    /// Relayouts the working sets into the sequential pass's exact arena
+    /// order, then makes that compact copy the working state. Standard form
+    /// commits a span for every canonical variable (empty sets get the
+    /// degenerate `(k, k)`); inductive form leaves empty sets at `(0, 0)`.
+    ///
+    /// The relayout is the arena's compaction: the old working buffers
+    /// (retained spans plus any dead appends) become the next relayout's
+    /// target, so after every run the working arena holds exactly the live
+    /// solution, at no copy beyond the relayout itself.
+    fn relayout(&mut self, form: Form) {
+        self.relayout_arena.clear();
+        self.relayout_spans.clear();
+        self.relayout_spans.resize(self.rep.len(), (0, 0));
+        for &v in &self.layout {
+            let (s, e) = self.work.spans[v.index()];
+            if e > s || matches!(form, Form::Standard) {
+                let start = u32::try_from(self.relayout_arena.len())
+                    .expect("least-solution arena overflow");
+                self.relayout_arena.extend_from_slice(&self.work.arena[s as usize..e as usize]);
+                self.relayout_spans[v.index()] = (start, start + (e - s));
+            }
+        }
+        std::mem::swap(&mut self.work.arena, &mut self.relayout_arena);
+        std::mem::swap(&mut self.work.spans, &mut self.relayout_spans);
     }
 
     /// Builds the evaluation schedule for `parts`: representative map,
@@ -589,10 +602,13 @@ impl ParLeast {
     /// reports how localized the pass was; an unchanged system reports zero
     /// dirty variables and zero dirty levels.
     ///
-    /// Retained arena note: reused spans keep their old arena positions, so
-    /// the working arena compacts only on the next full
-    /// [`run_with`](ParLeast::run_with); a long-lived session trades that
-    /// growth for not re-merging the clean majority of the system.
+    /// Retained arena note: a warm pass starts from the previous pass's
+    /// relayout output, so reused spans point into a compact copy of the
+    /// last solution. Dirty sets append after it, and the closing relayout
+    /// compacts again ([`arena_entries`]), so a long-lived session's memory
+    /// tracks its live solution, not the number of passes it has run.
+    ///
+    /// [`arena_entries`]: ParLeast::arena_entries
     pub fn run_revalidate(
         &mut self,
         parts: &LeastParts<'_>,
@@ -718,30 +734,17 @@ impl ParLeast {
             }
         }
 
-        // Relayout into the sequential pass's exact arena order — reused
-        // and recomputed spans alike.
-        self.final_arena.clear();
-        self.final_spans.clear();
-        self.final_spans.resize(n, (0, 0));
-        for &v in &self.layout {
-            let (s, e) = self.work.spans[v.index()];
-            if e > s || matches!(parts.form, Form::Standard) {
-                let start = u32::try_from(self.final_arena.len())
-                    .expect("least-solution arena overflow");
-                self.final_arena
-                    .extend_from_slice(&self.work.arena[s as usize..e as usize]);
-                self.final_spans[v.index()] = (start, start + (e - s));
-            }
-        }
+        // Reused and recomputed spans alike.
+        self.relayout(parts.form);
 
         self.prev_csr.copy_from(&self.csr);
         self.prev_rep.clone_from(&self.rep);
         self.prev_valid = true;
 
         if let Some(rec) = rec {
-            let set_vars = self.final_spans.iter().filter(|(s, e)| e > s).count();
+            let set_vars = self.work.spans.iter().filter(|(s, e)| e > s).count();
             rec.set(Counter::LsSetVars, set_vars as u64);
-            rec.set(Counter::LsEntries, self.final_arena.len() as u64);
+            rec.set(Counter::LsEntries, self.work.arena.len() as u64);
             if let Some(t0) = t0 {
                 rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
             }
@@ -766,9 +769,27 @@ impl ParLeast {
     pub fn solution(&self) -> LeastSolution {
         LeastSolution::from_parts(
             self.rep.clone(),
-            self.final_arena.clone(),
-            self.final_spans.clone(),
+            self.work.arena.clone(),
+            self.work.spans.clone(),
         )
+    }
+
+    /// The CSR the last run froze and evaluated: the graph half of what
+    /// `bane-snap` serializes next to [`solution`](ParLeast::solution),
+    /// identical to the one [`Solver::least_solution`] builds for the same
+    /// solved system.
+    pub fn csr(&self) -> &CsrSnapshot {
+        &self.csr
+    }
+
+    /// Entries in the working arena sets are committed into. Every run ends
+    /// by compacting it to exactly [`solution`](ParLeast::solution)'s
+    /// entries; during a [`run_revalidate`](ParLeast::run_revalidate) it
+    /// holds the previous solution plus the recomputed sets. Either way it
+    /// stays proportional to the live solution however many runs a session
+    /// makes.
+    pub fn arena_entries(&self) -> usize {
+        self.work.arena.len()
     }
 
     /// Number of condensation levels the last run evaluated.

@@ -575,15 +575,18 @@ impl Session {
 
     /// Revalidates the cached least solution against the just-solved graph.
     ///
-    /// When `changed` is false (the batch contained no operations) *and*
-    /// the graph revision still validates, even the schedule rebuild is
-    /// skipped. The revision check alone would not be sound here: it tracks
-    /// var–var edge insertions and collapses, so a pure *source* constraint
-    /// moves no counter, and across a replay equal counters do not imply
-    /// equal graphs — which is why a non-empty batch always revalidates.
+    /// When `changed` is false (the batch contained no operations), the
+    /// cached solution covers every variable *and* the graph revision still
+    /// validates, even the schedule rebuild is skipped. The revision check
+    /// alone would not be sound here: it tracks var–var edge insertions and
+    /// collapses, so a pure *source* constraint or a variable created
+    /// outside a batch moves no counter, and across a replay equal counters
+    /// do not imply equal graphs — which is why a non-empty batch always
+    /// revalidates.
     fn revalidate(&mut self, changed: bool) -> RevalidateOutcome {
         let now = self.solver.graph_revision();
-        if !changed && self.ls.is_some() && self.revision.is_some_and(|prev| prev.validates(now)) {
+        let covered = self.ls.as_ref().is_some_and(|ls| ls.len() == self.solver.graph_len());
+        if !changed && covered && self.revision.is_some_and(|prev| prev.validates(now)) {
             // Same graph object, untouched since the last pass: the cached
             // solution is the solution.
             return RevalidateOutcome {
@@ -689,6 +692,14 @@ impl Session {
         &self.solver
     }
 
+    /// Entries in the least-solution evaluator's working arena: the
+    /// session's memory for its solution beyond the copy it answers from.
+    /// Every revalidation ends by compacting it, so between commits it
+    /// equals `least_solution().total_entries()` however many commits ran.
+    pub fn ls_arena_entries(&self) -> usize {
+        self.par.arena_entries()
+    }
+
     /// The re-solve tier this session was built with.
     pub fn apply_mode(&self) -> ApplyMode {
         self.mode
@@ -700,16 +711,32 @@ impl Session {
         self.groups.iter().flatten().map(|g| g.constraints.len()).sum()
     }
 
-    /// Writes the current solved state as a `bane-snap` snapshot at `path`
-    /// (atomically — see `bane_snap::write_solver`), republishing the
+    /// Writes the last committed state as a `bane-snap` snapshot at `path`
+    /// (atomically — see `bane_snap::write_image`), republishing the
     /// session for the read-only serving layer. Returns the snapshot size
     /// in bytes.
+    ///
+    /// The snapshot is encoded from the least solution and CSR the last
+    /// [`apply`](Session::apply) revalidated, so publishing solves nothing;
+    /// the bytes equal a cold `bane_snap::encode_solver` of the live solver.
+    /// Only when no commit covers every variable (before the first apply,
+    /// or after variables were added outside one) does it solve cold.
     ///
     /// # Errors
     ///
     /// Propagates `bane-snap` encode/write errors.
     pub fn publish_snapshot(&mut self, path: &std::path::Path) -> Result<u64, bane_snap::SnapError> {
-        bane_snap::write_solver(&mut self.solver, path, self.rec.as_ref())
+        let image = match &self.ls {
+            Some(ls) if ls.len() == self.solver.graph_len() => bane_snap::encode_parts(
+                self.solver.config().form,
+                self.par.csr(),
+                ls,
+                self.solver.terms(),
+                self.solver.cons(),
+            )?,
+            _ => bane_snap::encode_solver(&mut self.solver)?,
+        };
+        bane_snap::write_image(path, &image, self.rec.as_ref())
     }
 }
 
@@ -857,6 +884,16 @@ mod tests {
         assert_eq!(report.outcome.dirty_vars, 0);
         assert_eq!(report.outcome.dirty_levels, 0);
         assert_eq!(s.least_solution(), &before);
+    }
+
+    #[test]
+    fn empty_delta_covers_variables_created_outside_a_batch() {
+        let (mut s, _, _, _) = chain_session();
+        let y = s.fresh_var();
+        let report = s.apply(Delta::new());
+        assert_eq!(report.outcome.dirty_vars, 1, "only the new variable is evaluated");
+        assert_eq!(s.points_to(y), &[] as &[TermId]);
+        assert_eq!(s.least_solution().len(), s.solver().graph_len());
     }
 
     #[test]

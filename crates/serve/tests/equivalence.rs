@@ -9,7 +9,7 @@
 //! 1/2/4/8 — none of which may change a single observable.
 
 use bane_core::prelude::*;
-use bane_serve::{Delta, GroupId, SessionBuilder};
+use bane_serve::{ApplyMode, Delta, GroupId, SessionBuilder};
 use bane_synth::delta::{
     generate_delta_script, DeltaScript, DeltaScriptConfig, DeltaStep, ScriptBindings,
 };
@@ -128,5 +128,83 @@ fn long_mixed_script_all_backends() {
     assert!(script.has_nonmonotone(), "long script must exercise replay");
     for kind in SolSetKind::ALL {
         check_script(&script, kind, 4);
+    }
+}
+
+/// A long-running session must not grow with the number of commits: 500
+/// drop/restore applies over a small synthetic system keep the least
+/// solution's working arena within 2× the live solution, and every answer
+/// still matches a from-scratch solve.
+#[test]
+fn drop_restore_soak_keeps_the_working_arena_bounded() {
+    let script = generate_delta_script(&DeltaScriptConfig {
+        grow_prob: 0.0,
+        edit_weight: 0.0,
+        ..DeltaScriptConfig::sized(16, 0x50a4)
+    });
+    let groups: Vec<&[_]> = script
+        .steps
+        .iter()
+        .map(|step| match step {
+            DeltaStep::AddGroup(cs) => cs.as_slice(),
+            other => panic!("monotone script produced {other:?}"),
+        })
+        .collect();
+    for mode in [ApplyMode::Exact, ApplyMode::Fast] {
+        let mut session = SessionBuilder::new().apply_mode(mode).build();
+        let bind = ScriptBindings::bind(&mut session, &script);
+        let mut live: Vec<(GroupId, Vec<(SetExpr, SetExpr)>)> = Vec::new();
+        let mut d = Delta::new();
+        for cs in &groups {
+            d.add_group(bind.constraints(cs));
+        }
+        let report = session.apply(d);
+        for (&g, cs) in report.new_groups.iter().zip(&groups) {
+            live.push((g, bind.constraints(cs)));
+        }
+
+        let mut ref_problem = Problem::new(SolverConfig::if_online());
+        ScriptBindings::bind(&mut ref_problem, &script);
+        for round in 0..500usize {
+            // Even rounds drop a group, odd rounds restore it as a new one.
+            let k = (round / 2 * 7) % live.len();
+            let mut d = Delta::new();
+            if round % 2 == 0 {
+                d.remove_group(live[k].0);
+            } else {
+                d.add_group(live[k].1.clone());
+            }
+            let report = session.apply(d);
+            if round % 2 == 1 {
+                live[k].0 = report.new_groups[0];
+            }
+
+            let arena = session.ls_arena_entries();
+            let entries = session.least_solution().total_entries();
+            assert!(
+                arena <= 2 * entries,
+                "{mode:?} round {round}: working arena {arena} vs {entries} live entries"
+            );
+
+            let mut p = ref_problem.clone();
+            let dropped = (round % 2 == 0).then_some(k);
+            for (j, (_, cs)) in live.iter().enumerate() {
+                if Some(j) != dropped {
+                    for &(l, r) in cs {
+                        p.add(l, r);
+                    }
+                }
+            }
+            let mut reference = Solver::from_problem(p);
+            reference.solve();
+            let ref_ls = reference.least_solution();
+            for &v in &bind.vars {
+                assert_eq!(
+                    session.points_to(v),
+                    ref_ls.get(reference.find(v)),
+                    "{mode:?} round {round}: set of {v:?}"
+                );
+            }
+        }
     }
 }

@@ -15,6 +15,8 @@
 //! replays the queries against the lock-free [`HubView`], pinning the
 //! serving layer to the same answers as a single-session snapshot.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use bane_core::prelude::*;
 use bane_serve::{Delta, GroupId, Session, SessionBuilder, ShardManager};
 use bane_snap::{QueryIndex, ShardRoute, SnapshotHub};
@@ -183,10 +185,13 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
     }
 
     // (3) The published fleet serves the same answers as a single-session
-    // snapshot, through the lock-free hub view.
+    // snapshot, through the lock-free hub view. The tests of this file run
+    // concurrently, so every call publishes into a directory of its own.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "bane-fleet-eq-{}-{kind:?}-{threads}t-{shards}s",
-        std::process::id()
+        "bane-fleet-eq-{}-{}-{kind:?}-{threads}t-{shards}s",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
     let hub = SnapshotHub::new(shards);

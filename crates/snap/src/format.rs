@@ -121,7 +121,17 @@ pub const fn align_up(n: usize) -> usize {
 /// FNV-1a is not cryptographic; it guards against truncation and bit rot,
 /// not adversaries (see `docs/SNAPSHOT_FORMAT.md` §5).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: the checksum of zero bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash `h` over `bytes`, so a writer can fold
+/// the checksum in as it emits the image:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+#[inline(always)]
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -152,6 +162,12 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv_extend_continues_a_prefix() {
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+        assert_eq!(fnv1a64_extend(FNV_OFFSET, b""), fnv1a64(b""));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! artifact can be *served* cheaply. This crate turns a converged
 //! [`Solver`](bane_core::Solver) into a servable product:
 //!
-//! - [`encode_solver`] / [`write_solver`]: serialize the least solution,
+//! - [`encode_parts`] / [`write_image`]: serialize the least solution,
 //!   the frozen canonical CSR graph, and the term/constructor tables into
 //!   a versioned, checksummed, mmap-friendly file (format v1, specified
-//!   byte-for-byte in `docs/SNAPSHOT_FORMAT.md`). Writing is deterministic:
-//!   the same run always produces the same bytes, for every solution-set
-//!   backend.
+//!   byte-for-byte in `docs/SNAPSHOT_FORMAT.md`), from the solution and
+//!   CSR the caller already holds. [`encode_solver`] / [`write_solver`]
+//!   compute that pair first. Writing is deterministic: the same run always
+//!   produces the same bytes, for every solution-set backend.
 //! - [`QueryIndex`]: loads a snapshot zero-copy (mmap where available,
 //!   owned aligned buffer otherwise) and answers
 //!   [`points_to`](QueryIndex::points_to),
@@ -69,4 +70,4 @@ pub use error::SnapError;
 pub use format::{FORMAT_VERSION, MAGIC};
 pub use hub::{HubView, ShardRoute, SnapshotHub};
 pub use index::{LoadMode, QueryIndex, QueryScratch};
-pub use writer::{encode_parts, encode_solver, write_solver};
+pub use writer::{encode_parts, encode_solver, write_image, write_solver};

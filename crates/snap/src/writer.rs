@@ -6,10 +6,17 @@
 //! (`tests/fixtures/tiny.snap`) and the cross-backend byte-equality
 //! property tests possible.
 //!
-//! The writer encodes into an in-memory `Vec<u8>` first
-//! ([`encode_solver`]/[`encode_parts`]) and only then touches the
-//! filesystem ([`write_solver`]), so every structural path is testable
-//! without temp files.
+//! [`encode_parts`] is the one encoder. It takes the least solution and the
+//! frozen CSR the caller already holds, sizes the image once from the
+//! section lengths, and writes every section's words straight into it,
+//! folding each byte into the FNV-1a checksum as it goes: one pass over the
+//! image, with no per-section buffers. A serving session hands it the pair
+//! its last commit revalidated, so publishing solves nothing;
+//! [`encode_solver`] is the cold path (one least-solution pass, then the
+//! same encoder). [`write_image`] is the only step that touches the
+//! filesystem, so every structural path is testable without temp files.
+
+use std::path::{Path, PathBuf};
 
 use bane_core::cons::ConRegistry;
 use bane_core::expr::{SetExpr, TermArena};
@@ -19,12 +26,12 @@ use bane_obs::{Counter, Recorder};
 
 use crate::error::SnapError;
 use crate::format::{
-    self, expr_tag, SectionId, CHECKSUM_OFFSET, ENDIAN_MARKER, FORMAT_VERSION, HEADER_BYTES,
-    MAGIC, MAX_ARITY, PAYLOAD_START, SECTIONS, SECTION_COUNT,
+    self, expr_tag, SectionId, CHECKSUM_OFFSET, ENDIAN_MARKER, FNV_OFFSET, FORMAT_VERSION,
+    HEADER_BYTES, MAGIC, MAX_ARITY, PAYLOAD_START, SECTIONS, SECTION_COUNT,
 };
 
-/// Computes the least solution and frozen CSR of `solver` and encodes them
-/// as a complete snapshot file image.
+/// Computes the least solution of `solver` and encodes it, with the CSR
+/// that pass froze, as a complete snapshot file image.
 ///
 /// Takes `&mut` because [`Solver::least_solution`] does; call after
 /// [`Solver::solve`] has converged. The emitted bytes are identical for
@@ -34,21 +41,17 @@ use crate::format::{
 /// writer).
 pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
     let ls = solver.least_solution();
-    let parts = solver.least_parts();
-    let mut rep = Vec::new();
-    parts.rep_map_into(&mut rep);
-    let mut layout = Vec::new();
-    parts.layout_order_into(&rep, &mut layout);
-    let mut csr = CsrSnapshot::new();
-    csr.build(&parts, &layout);
-    encode_parts(parts.form, &csr, &ls, solver.terms(), solver.cons())
+    encode_parts(solver.config().form, solver.least_csr(), &ls, solver.terms(), solver.cons())
 }
 
-/// Encodes already-extracted solved-run parts as a snapshot file image.
+/// Encodes a solved run's least solution and frozen CSR as a snapshot file
+/// image.
 ///
-/// `csr` must be built from the same run `ls` was computed from; the
-/// writer cross-checks their variable counts but cannot detect a deeper
-/// mismatch. Most callers want [`encode_solver`].
+/// `csr` must be the CSR `ls` was evaluated over: [`Solver::least_csr`]
+/// after [`Solver::least_solution`], or `bane-par`'s `ParLeast::csr` next
+/// to its `solution`. The writer cross-checks their variable counts but
+/// cannot detect a deeper mismatch. Callers holding no solution call
+/// [`encode_solver`] instead.
 pub fn encode_parts(
     form: Form,
     csr: &CsrSnapshot,
@@ -63,76 +66,34 @@ pub fn encode_parts(
         return Err(SnapError::Corrupt("csr and least solution disagree on variable count"));
     }
 
-    // Build each section's word (or byte, for STRS) payload.
-    let rep_w: Vec<u32> = rep.iter().map(|v| v.raw()).collect();
-    let var_rows_w = flatten_pairs(var_rows);
-    let cols_w: Vec<u32> = cols.iter().map(|v| v.raw()).collect();
-    let src_rows_w = flatten_pairs(src_rows);
-    let srcs_w: Vec<u32> = srcs.iter().map(|t| t.raw()).collect();
-    let spans_w = flatten_pairs(spans);
-    let arena_w: Vec<u32> = arena.iter().map(|t| t.raw()).collect();
-
-    let mut term_rows_w: Vec<u32> = Vec::with_capacity(terms.len() * 2);
-    let mut term_data_w: Vec<u32> = Vec::new();
-    for id in terms.ids() {
-        let data = terms.data(id);
-        let start = term_data_w.len() as u32;
-        term_data_w.push(data.con().raw());
-        for &arg in data.args() {
-            let (tag, payload) = match arg {
-                SetExpr::Zero => (expr_tag::ZERO, 0),
-                SetExpr::One => (expr_tag::ONE, 0),
-                SetExpr::Var(v) => (expr_tag::VAR, v.raw()),
-                SetExpr::Term(t) => (expr_tag::TERM, t.raw()),
-            };
-            term_data_w.push(tag);
-            term_data_w.push(payload);
-        }
-        term_rows_w.push(start);
-        term_rows_w.push(term_data_w.len() as u32);
-    }
-
-    let mut con_rows_w: Vec<u32> = Vec::with_capacity(cons.len() * 4);
-    let mut strs: Vec<u8> = Vec::new();
+    // Every section's byte length, in SECTIONS order, before a byte is
+    // written: the image is sized once and never copied.
+    let term_data_words: usize = terms.ids().map(|id| 1 + 2 * terms.data(id).args().len()).sum();
+    let mut strs_len = 0usize;
     for (_, sig) in cons.iter() {
         if sig.arity() > MAX_ARITY {
             return Err(SnapError::Unsupported("constructor arity exceeds 32"));
         }
-        let name_start = strs.len() as u32;
-        strs.extend_from_slice(sig.name().as_bytes());
-        let mut variance_bits = 0u32;
-        for (i, v) in sig.variances().iter().enumerate() {
-            if let bane_core::cons::Variance::Contravariant = v {
-                variance_bits |= 1 << i;
-            }
-        }
-        con_rows_w.push(name_start);
-        con_rows_w.push(strs.len() as u32);
-        con_rows_w.push(sig.arity() as u32);
-        con_rows_w.push(variance_bits);
+        strs_len += sig.name().len();
     }
-
-    // Section payloads as little-endian byte vectors, in SECTIONS order.
-    let payloads: [Vec<u8>; SECTION_COUNT] = [
-        words_to_bytes(&rep_w),
-        words_to_bytes(&var_rows_w),
-        words_to_bytes(&cols_w),
-        words_to_bytes(&src_rows_w),
-        words_to_bytes(&srcs_w),
-        words_to_bytes(&spans_w),
-        words_to_bytes(&arena_w),
-        words_to_bytes(&term_rows_w),
-        words_to_bytes(&term_data_w),
-        words_to_bytes(&con_rows_w),
-        strs,
+    let lens: [usize; SECTION_COUNT] = [
+        4 * rep.len(),
+        8 * var_rows.len(),
+        4 * cols.len(),
+        8 * src_rows.len(),
+        4 * srcs.len(),
+        8 * spans.len(),
+        4 * arena.len(),
+        8 * terms.len(),
+        4 * term_data_words,
+        16 * cons.len(),
+        strs_len,
     ];
-
-    // Lay out the file: header, section table, aligned payloads.
-    let mut offsets = [0u64; SECTION_COUNT];
+    let mut offsets = [0usize; SECTION_COUNT];
     let mut cursor = PAYLOAD_START;
-    for (i, p) in payloads.iter().enumerate() {
-        offsets[i] = cursor as u64;
-        cursor = format::align_up(cursor + p.len());
+    for (offset, &len) in offsets.iter_mut().zip(&lens) {
+        *offset = cursor;
+        cursor = format::align_up(cursor + len);
     }
     let file_len = cursor;
 
@@ -156,63 +117,168 @@ pub fn encode_parts(
     push_u64(&mut out, 0); // reserved
     debug_assert_eq!(out.len(), HEADER_BYTES);
 
+    // Everything after the header is checksummed as it is written.
+    let mut img = Image { out, hash: FNV_OFFSET };
     for (i, &id) in SECTIONS.iter().enumerate() {
-        push_u32(&mut out, id as u32);
-        push_u32(&mut out, 0); // reserved
-        push_u64(&mut out, offsets[i]);
-        push_u64(&mut out, payloads[i].len() as u64);
+        img.word(id as u32);
+        img.word(0); // reserved
+        img.dword(offsets[i] as u64);
+        img.dword(lens[i] as u64);
     }
-    debug_assert_eq!(out.len(), PAYLOAD_START);
+    debug_assert_eq!(img.out.len(), PAYLOAD_START);
 
-    for (i, p) in payloads.iter().enumerate() {
-        debug_assert_eq!(out.len(), offsets[i] as usize);
-        out.extend_from_slice(p);
-        out.resize(format::align_up(out.len()), 0);
+    let mut section = 0;
+    let mut end_section = |img: &mut Image| {
+        debug_assert_eq!(img.out.len(), offsets[section] + lens[section]);
+        section += 1;
+        img.pad();
+    };
+    img.words(rep.iter().map(|v| v.raw()));
+    end_section(&mut img);
+    img.pairs(var_rows);
+    end_section(&mut img);
+    img.words(cols.iter().map(|v| v.raw()));
+    end_section(&mut img);
+    img.pairs(src_rows);
+    end_section(&mut img);
+    img.words(srcs.iter().map(|t| t.raw()));
+    end_section(&mut img);
+    img.pairs(spans);
+    end_section(&mut img);
+    img.words(arena.iter().map(|t| t.raw()));
+    end_section(&mut img);
+
+    // Term rows: `(start, end)` word ranges of each term's payload.
+    let mut end = 0u32;
+    for id in terms.ids() {
+        let start = end;
+        end += 1 + 2 * terms.data(id).args().len() as u32;
+        img.word(start);
+        img.word(end);
     }
+    end_section(&mut img);
+    for id in terms.ids() {
+        let data = terms.data(id);
+        img.word(data.con().raw());
+        for &arg in data.args() {
+            let (tag, payload) = match arg {
+                SetExpr::Zero => (expr_tag::ZERO, 0),
+                SetExpr::One => (expr_tag::ONE, 0),
+                SetExpr::Var(v) => (expr_tag::VAR, v.raw()),
+                SetExpr::Term(t) => (expr_tag::TERM, t.raw()),
+            };
+            img.word(tag);
+            img.word(payload);
+        }
+    }
+    end_section(&mut img);
+
+    // Constructor rows, then the names they index.
+    let mut name_end = 0u32;
+    for (_, sig) in cons.iter() {
+        let name_start = name_end;
+        name_end += sig.name().len() as u32;
+        let mut variance_bits = 0u32;
+        for (i, v) in sig.variances().iter().enumerate() {
+            if let bane_core::cons::Variance::Contravariant = v {
+                variance_bits |= 1 << i;
+            }
+        }
+        img.word(name_start);
+        img.word(name_end);
+        img.word(sig.arity() as u32);
+        img.word(variance_bits);
+    }
+    end_section(&mut img);
+    for (_, sig) in cons.iter() {
+        img.bytes(sig.name().as_bytes());
+    }
+    end_section(&mut img);
+
+    let Image { mut out, hash } = img;
     debug_assert_eq!(out.len(), file_len);
-
-    let checksum = format::fnv1a64(&out[HEADER_BYTES..]);
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
+    debug_assert_eq!(hash, format::fnv1a64(&out[HEADER_BYTES..]), "folded checksum diverged");
+    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&hash.to_le_bytes());
     Ok(out)
 }
 
-/// Encodes `solver` and writes the snapshot to `path`, returning the file
-/// size in bytes.
-///
-/// When a recorder is supplied, the written size is added to the
-/// `snap.bytes-written` counter. The write goes through a temporary
-/// sibling file renamed into place, so a crash mid-write never leaves a
-/// half-written file at `path`.
+/// Encodes `solver` ([`encode_solver`]) and writes the image to `path`
+/// ([`write_image`]), returning the file size in bytes.
 pub fn write_solver(
     solver: &mut Solver,
-    path: &std::path::Path,
+    path: &Path,
     rec: Option<&Recorder>,
 ) -> Result<u64, SnapError> {
-    let bytes = encode_solver(solver)?;
-    let tmp = path.with_extension("snap.tmp");
-    std::fs::write(&tmp, &bytes)?;
+    write_image(path, &encode_solver(solver)?, rec)
+}
+
+/// Writes an encoded snapshot image to `path`, returning its size in bytes.
+///
+/// The bytes go to a temporary sibling named after the whole file name
+/// (`run.a` writes `run.a.tmp`), which is then renamed into place: a crash
+/// mid-write never leaves a half-written file at `path`, and paths that
+/// differ only in extension never share a temporary. When a recorder is
+/// supplied, the size is added to the `snap.bytes-written` counter.
+pub fn write_image(path: &Path, image: &[u8], rec: Option<&Recorder>) -> Result<u64, SnapError> {
+    let tmp = temp_path(path);
+    std::fs::write(&tmp, image)?;
     std::fs::rename(&tmp, path)?;
     if let Some(r) = rec {
-        r.add(Counter::SnapBytesWritten, bytes.len() as u64);
+        r.add(Counter::SnapBytesWritten, image.len() as u64);
     }
-    Ok(bytes.len() as u64)
+    Ok(image.len() as u64)
 }
 
-fn flatten_pairs(pairs: &[(u32, u32)]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(pairs.len() * 2);
-    for &(s, e) in pairs {
-        out.push(s);
-        out.push(e);
-    }
-    out
+/// `path` with `.tmp` appended to its full file name.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
-fn words_to_bytes(words: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 4);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+/// The checksummed part of an image under construction: every byte pushed
+/// is folded into the running FNV-1a hash in the same loop, so the copies
+/// overlap the multiply chain the checksum is bound by.
+struct Image {
+    out: Vec<u8>,
+    hash: u64,
+}
+
+impl Image {
+    #[inline(always)]
+    fn bytes(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(b);
+        self.hash = format::fnv1a64_extend(self.hash, b);
     }
-    out
+
+    #[inline(always)]
+    fn word(&mut self, w: u32) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn dword(&mut self, d: u64) {
+        self.bytes(&d.to_le_bytes());
+    }
+
+    fn words(&mut self, words: impl Iterator<Item = u32>) {
+        for w in words {
+            self.word(w);
+        }
+    }
+
+    fn pairs(&mut self, pairs: &[(u32, u32)]) {
+        for &(a, b) in pairs {
+            self.word(a);
+            self.word(b);
+        }
+    }
+
+    /// Zero-fills to the next section boundary.
+    fn pad(&mut self) {
+        while !self.out.len().is_multiple_of(format::SECTION_ALIGN) {
+            self.bytes(&[0]);
+        }
+    }
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -228,4 +294,61 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 /// sections.
 pub fn section_table_offset(id: SectionId) -> usize {
     HEADER_BYTES + (id as u32 as usize) * format::SECTION_ENTRY_BYTES
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bane_core::solver::SolverConfig;
+
+    /// The checksum stored in an image's header.
+    fn stored_checksum(image: &[u8]) -> u64 {
+        u64::from_le_bytes(image[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].try_into().unwrap())
+    }
+
+    /// A small solved run with a cycle, a constructed term over a variable
+    /// and a contravariant constructor, so every section is non-empty.
+    fn solved(config: SolverConfig) -> Solver {
+        let mut s = Solver::new(config);
+        let c = s.register_nullary("c");
+        let r = s.register_con("ref", vec![bane_core::cons::Variance::Contravariant]);
+        let (x, y, z) = (s.fresh_var(), s.fresh_var(), s.fresh_var());
+        let t = s.term(c, vec![]);
+        let rt = s.term(r, vec![x.into()]);
+        s.add(t, x);
+        s.add(x, y);
+        s.add(y, x);
+        s.add(y, z);
+        s.add(rt, z);
+        s.solve();
+        s
+    }
+
+    fn assert_checksum_folded(image: &[u8]) {
+        assert_eq!(stored_checksum(image), format::fnv1a64(&image[HEADER_BYTES..]));
+    }
+
+    #[test]
+    fn folded_checksum_matches_a_second_pass_on_an_empty_solver() {
+        let mut s = Solver::new(SolverConfig::if_online());
+        s.solve();
+        assert_checksum_folded(&encode_solver(&mut s).unwrap());
+    }
+
+    #[test]
+    fn folded_checksum_matches_a_second_pass_on_a_standard_form_run() {
+        assert_checksum_folded(&encode_solver(&mut solved(SolverConfig::sf_online())).unwrap());
+    }
+
+    #[test]
+    fn folded_checksum_matches_a_second_pass_on_an_inductive_form_run() {
+        assert_checksum_folded(&encode_solver(&mut solved(SolverConfig::if_online())).unwrap());
+    }
+
+    #[test]
+    fn temp_files_keep_the_whole_file_name() {
+        let (a, b) = (temp_path(Path::new("dir/run.a")), temp_path(Path::new("dir/run.b")));
+        assert_eq!(a, Path::new("dir/run.a.tmp"));
+        assert_eq!(b, Path::new("dir/run.b.tmp"));
+    }
 }

@@ -4,7 +4,9 @@
 
 use bane_core::prelude::*;
 use bane_points_to::andersen;
-use bane_snap::{encode_solver, format, write_solver, LoadMode, QueryIndex, QueryScratch};
+use bane_snap::{
+    encode_solver, format, write_image, write_solver, LoadMode, QueryIndex, QueryScratch,
+};
 use bane_synth::gen::{self, GenConfig};
 use proptest::prelude::*;
 
@@ -90,6 +92,38 @@ fn file_roundtrip_through_both_load_modes() {
     assert_eq!(auto.checksum(), owned.checksum());
 
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Paths that differ only in extension get distinct temporaries, so
+/// concurrent publishes to `run.a` and `run.b` cannot interleave: each file
+/// reloads as its own run's snapshot.
+#[test]
+fn paths_differing_only_in_extension_publish_independently() {
+    let dir = std::env::temp_dir().join(format!("bane-snap-ext-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let runs: Vec<(std::path::PathBuf, Vec<u8>, LeastSolution)> = [("run.a", 5), ("run.b", 6)]
+        .into_iter()
+        .map(|(name, seed)| {
+            let mut solver = solved_solver(seed, SolverConfig::if_online());
+            let ls = solver.least_solution();
+            (dir.join(name), encode_solver(&mut solver).unwrap(), ls)
+        })
+        .collect();
+    assert_ne!(runs[0].1, runs[1].1, "the two runs must differ for the test to bite");
+    std::thread::scope(|scope| {
+        for (path, image, _) in &runs {
+            scope.spawn(move || {
+                for _ in 0..25 {
+                    write_image(path, image, None).unwrap();
+                }
+            });
+        }
+    });
+    for (path, image, ls) in &runs {
+        assert_eq!(&std::fs::read(path).unwrap(), image);
+        assert_index_matches(&QueryIndex::load(path).unwrap(), ls);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
