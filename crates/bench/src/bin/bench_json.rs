@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! bench_json [--scale f] [--max-ast n] [--reps n] [--limit n] [--only s]
-//!            [--threads n] [--fast] [--out path] [--label s] [--report path]
+//!            [--fast] [--out path] [--label s] [--report path]
 //! ```
 //!
 //! Without `--out`, the snapshot is written to `BENCH_<n>.json` in the
@@ -84,10 +84,10 @@
 //! `bane-bench/7` adds the **snapshot serving** table (`snap_queries`): the
 //! largest selected benchmark is solved once, written to a `bane-snap`
 //! snapshot file (docs/SNAPSHOT_FORMAT.md), and — with the solver dropped —
-//! cold-reloaded per thread count in {1, 2, 4, 8} ∪ {`--threads`}. Each
+//! cold-reloaded per reader-thread count in {1, 2, 4, 8}. Each
 //! (mix × threads) row drives a deterministic SplitMix64-seeded workload of
 //! `points-to` / `alias` / `reachable` / `mixed` queries through the shared
-//! read-only `QueryIndex` on `bane-par`'s pool and reports queries per
+//! read-only `QueryIndex` from scoped reader threads and reports queries per
 //! second plus `answers_match` — an order-independent fingerprint of every
 //! answer compared against one precomputed from the live `LeastSolution`
 //! (must always read `true`). The section header carries the file size,
@@ -149,17 +149,23 @@
 //! `frontier_*` and `search.memo.*` columns. Every other field is emitted
 //! byte-identically.
 //!
+//! `bane-bench/12` removes what the deleted parallel and alternative
+//! least-solution machinery reported: the `par_ls` and `solset_scaling`
+//! sections, the header's `threads` and `solset` fields (the `--threads` and
+//! `--solset` flags are gone), and the `fleet` section's `threads` field.
+//! `logical_cpus` and `single_cpu` stay, describing the machine the
+//! `snap_queries` reader threads ran on. Every other field is emitted
+//! byte-identically.
+//!
 //! The JSON is hand-rolled (the build environment has no serde); the format
 //! is plain nested objects with no NaNs and no trailing commas, so any JSON
 //! parser can read it.
 
 use bane_bench::cli::Options;
 use bane_bench::experiment::{
-    analyze_bench, run_fleet, run_incremental, run_observed, run_one_with, run_par_scaling,
-    run_snap_queries, run_solset_scaling, ExperimentKind, FleetScaling, IncrementalScaling,
-    Measurement, ParScaling, SnapScaling, SolSetScaling,
+    analyze_bench, run_fleet, run_incremental, run_observed, run_one, run_snap_queries,
+    ExperimentKind, FleetScaling, IncrementalScaling, Measurement, SnapScaling,
 };
-use bane_core::solset::SolSetKind;
 use bane_obs::RunReport;
 use std::fmt::Write as _;
 use std::time::SystemTime;
@@ -202,9 +208,7 @@ fn main() {
             },
             "--help" | "-h" => die(
                 "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                 --only <substr> --threads <n> \
-                 --solset <sorted-span|bitmap|hybrid> --fast \
-                 --out <path> --label <s> --report <path>",
+                 --only <substr> --fast --out <path> --label <s> --report <path>",
             ),
             _ => rest.push(arg),
         }
@@ -227,15 +231,8 @@ fn main() {
     let mut benchmarks = String::new();
     for (i, (entry, program)) in selected.iter().enumerate() {
         let (info, partition, mut if_online) = analyze_bench(entry.name, program);
-        if opts.reps > 1 || opts.solset != SolSetKind::SortedSpan {
-            if_online = run_one_with(
-                program,
-                ExperimentKind::IfOnline,
-                None,
-                u64::MAX,
-                opts.reps,
-                opts.solset,
-            );
+        if opts.reps > 1 {
+            if_online = run_one(program, ExperimentKind::IfOnline, None, u64::MAX, opts.reps);
         }
         let mut experiments = String::new();
         for (j, kind) in ExperimentKind::ALL.into_iter().enumerate() {
@@ -243,7 +240,7 @@ fn main() {
                 if_online
             } else {
                 let limit = if kind.is_plain() { opts.limit } else { u64::MAX };
-                run_one_with(program, kind, Some(&partition), limit, opts.reps, opts.solset)
+                run_one(program, kind, Some(&partition), limit, opts.reps)
             };
             if j > 0 {
                 experiments.push(',');
@@ -288,56 +285,11 @@ fn main() {
 
     eprintln!("{}", aggregate.render_table());
 
-    // The bane-par scaling table: the largest selected benchmark, at the
-    // canonical thread counts plus whatever `--threads` asked for.
-    let mut thread_counts = vec![1usize, 2, 4, 8];
-    if !thread_counts.contains(&opts.threads) {
-        thread_counts.push(opts.threads);
-        thread_counts.sort_unstable();
-    }
+    // Reader-thread counts of the snapshot serving table.
+    let thread_counts = [1usize, 2, 4, 8];
     let largest = selected.iter().max_by_key(|(e, _)| e.ast_nodes);
-    let par_ls_json = match largest {
-        Some((entry, program)) => {
-            eprintln!("bench_json: par scaling on {} (threads {:?})", entry.name, thread_counts);
-            let scaling = run_par_scaling(program, &thread_counts, opts.reps);
-            for row in &scaling.rows {
-                eprintln!(
-                    "  par {:<24} threads={} ls={:>12}ns (seq {:>12}ns) identical={}",
-                    entry.name, row.threads, row.ls_ns, scaling.seq_ls_ns, row.ls_identical,
-                );
-            }
-            par_scaling_json(entry.name, &scaling)
-        }
-        None => "null".to_string(),
-    };
 
-    // The solution-set backend table: the same largest benchmark, every
-    // backend × diff mode, with per-row byte-identity checks.
-    let solset_json = match largest {
-        Some((entry, program)) => {
-            eprintln!("bench_json: solset backends on {}", entry.name);
-            let scaling = run_solset_scaling(program, opts.reps);
-            for row in &scaling.rows {
-                eprintln!(
-                    "  solset {:<21} {:<11} diff={:<5} cold={:>12}ns incr={:>12}ns \
-                     in={:<10} fresh={:<8} bytes/var={:<10.1} identical={}",
-                    entry.name,
-                    row.backend.name(),
-                    row.diff,
-                    row.ls_cold_ns,
-                    row.ls_incr_ns,
-                    row.delta_in,
-                    row.delta_fresh,
-                    row.bytes_per_var,
-                    row.matches_reference,
-                );
-            }
-            solset_scaling_json(entry.name, &scaling)
-        }
-        None => "null".to_string(),
-    };
-
-    // The snapshot serving table: the same largest benchmark written to a
+    // The snapshot serving table: the largest selected benchmark written to a
     // bane-snap file, cold-reloaded, and queried concurrently per mix.
     let snap_json = match largest {
         Some((entry, program)) => {
@@ -414,7 +366,7 @@ fn main() {
     // script is synthetic, so this runs even with no benchmark selected.
     let fleet_json = {
         eprintln!("bench_json: fleet serving, widths 1/2/4");
-        let scaling = run_fleet(FLEET_STEPS, FLEET_SEED, opts.threads);
+        let scaling = run_fleet(FLEET_STEPS, FLEET_SEED);
         for row in &scaling.rows {
             eprintln!(
                 "  fleet shards={} apply={:>12}ns single={:>12}ns routed={:<4} fanout={:<6} \
@@ -436,14 +388,12 @@ fn main() {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let logical_cpus = bane_par::available_threads();
+    let logical_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"schema\": \"bane-bench/11\",\n  \"label\": {},\n  \
+        "{{\n  \"schema\": \"bane-bench/12\",\n  \"label\": {},\n  \
          \"created_unix\": {},\n  \"scale\": {},\n  \"max_ast\": {},\n  \
-         \"reps\": {},\n  \"limit\": {},\n  \"threads\": {},\n  \
-         \"solset\": {},\n  \"git_revision\": {},\n  \
+         \"reps\": {},\n  \"limit\": {},\n  \"git_revision\": {},\n  \
          \"logical_cpus\": {},\n  \"single_cpu\": {},\n  \
-         \"par_ls\": {},\n  \"solset_scaling\": {},\n  \
          \"snap_queries\": {},\n  \"incremental\": {},\n  \"fleet\": {},\n  \
          \"benchmarks\": [{}\n  ]\n}}\n",
         json_string(&label),
@@ -452,13 +402,9 @@ fn main() {
         opts.max_ast,
         opts.reps,
         opts.limit,
-        opts.threads,
-        json_string(opts.solset.name()),
         json_string(&git_revision()),
         logical_cpus,
         logical_cpus == 1,
-        par_ls_json,
-        solset_json,
         snap_json,
         incremental_json,
         fleet_json,
@@ -496,67 +442,6 @@ fn git_revision() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The `par_ls` scaling section: the sequential least-solution baseline
-/// plus one row per thread count with its speedup relative to it.
-fn par_scaling_json(benchmark: &str, scaling: &ParScaling) -> String {
-    let mut rows = String::new();
-    for (i, row) in scaling.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        let ls_speedup = scaling.seq_ls_ns as f64 / row.ls_ns.max(1) as f64;
-        let _ = write!(
-            rows,
-            "\n      {{\"threads\": {}, \"ls_ns\": {}, \"ls_speedup\": {}, \
-             \"ls_identical\": {}}}",
-            row.threads,
-            row.ls_ns,
-            json_f64(ls_speedup),
-            row.ls_identical,
-        );
-    }
-    format!(
-        "{{\"benchmark\": {}, \"seq_ls_ns\": {}, \"rows\": [{}\n    ]}}",
-        json_string(benchmark),
-        scaling.seq_ls_ns,
-        rows,
-    )
-}
-
-/// The `solset_scaling` section: one row per backend × diff mode with the
-/// delta traffic under its unified-counter names.
-fn solset_scaling_json(benchmark: &str, scaling: &SolSetScaling) -> String {
-    let mut rows = String::new();
-    for (i, row) in scaling.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "\n      {{\"backend\": {}, \"diff\": {}, \"ls_cold_ns\": {}, \
-             \"ls_incr_ns\": {}, \"ls.delta.in\": {}, \"ls.delta.fresh\": {}, \
-             \"bytes_per_var\": {}, \"matches_reference\": {}}}",
-            json_string(row.backend.name()),
-            row.diff,
-            row.ls_cold_ns,
-            row.ls_incr_ns,
-            row.delta_in,
-            row.delta_fresh,
-            json_f64(row.bytes_per_var),
-            row.matches_reference,
-        );
-    }
-    format!(
-        "{{\"benchmark\": {}, \"constraints_total\": {}, \"constraints_tail\": {}, \
-         \"seq_ls_ns\": {}, \"rows\": [{}\n    ]}}",
-        json_string(benchmark),
-        scaling.constraints_total,
-        scaling.constraints_tail,
-        scaling.seq_ls_ns,
-        rows,
-    )
 }
 
 /// The `snap_queries` section: one row per (thread count × query mix) on the
@@ -684,11 +569,10 @@ fn fleet_json_section(scaling: &FleetScaling) -> String {
     }
     format!(
         "{{\"script_seed\": {}, \"script_steps\": {}, \"partitions\": {}, \
-         \"threads\": {}, \"single_apply_ns\": {}, \"rows\": [{}\n    ]}}",
+         \"single_apply_ns\": {}, \"rows\": [{}\n    ]}}",
         scaling.script_seed,
         scaling.script_steps,
         scaling.partitions,
-        scaling.threads,
         scaling.single_apply_ns,
         rows,
     )

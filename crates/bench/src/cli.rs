@@ -1,7 +1,5 @@
 //! Minimal command-line options shared by the table/figure binaries.
 
-use bane_core::solset::SolSetKind;
-
 /// Options accepted by every experiment binary.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -15,11 +13,6 @@ pub struct Options {
     pub limit: u64,
     /// Restrict to benchmarks whose name contains this string.
     pub only: Option<String>,
-    /// Worker threads for the `bane-par` passes (1 = sequential paths).
-    pub threads: usize,
-    /// Solution-set backend for the least-solution passes (every backend is
-    /// byte-identical; the axis exists to compare their cost profiles).
-    pub solset: SolSetKind,
 }
 
 impl Options {
@@ -33,16 +26,13 @@ impl Options {
             reps: 1,
             limit: 200_000_000,
             only: None,
-            threads: 1,
-            solset: SolSetKind::SortedSpan,
         }
     }
 
     /// Parses `args` (without the program name) over the given defaults.
     ///
     /// Recognized flags: `--scale <f>`, `--max-ast <n>`, `--reps <n>`,
-    /// `--limit <n>`, `--only <substring>`, `--threads <n>`,
-    /// `--solset <sorted-span|bitmap|hybrid>`, `--fast`.
+    /// `--limit <n>`, `--only <substring>`, `--fast`.
     ///
     /// # Errors
     ///
@@ -77,20 +67,6 @@ impl Options {
                 "--only" => {
                     self.only = Some(value("--only")?);
                 }
-                "--threads" => {
-                    self.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--solset" => {
-                    let name = value("--solset")?;
-                    self.solset = SolSetKind::by_name(&name).ok_or_else(|| {
-                        format!(
-                            "--solset: unknown backend `{name}` \
-                             (expected sorted-span, bitmap, or hybrid)"
-                        )
-                    })?;
-                }
                 "--fast" => {
                     self.scale = (self.scale * 0.5).min(0.1);
                     self.max_ast = self.max_ast.min(60_000);
@@ -98,8 +74,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err(
                         "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                         --only <substr> --threads <n> \
-                         --solset <sorted-span|bitmap|hybrid> --fast"
+                         --only <substr> --fast"
                             .to_string(),
                     )
                 }
@@ -108,9 +83,6 @@ impl Options {
         }
         if self.scale <= 0.0 {
             return Err("--scale must be positive".to_string());
-        }
-        if self.threads == 0 {
-            return Err("--threads must be at least 1".to_string());
         }
         Ok(self)
     }
@@ -150,37 +122,13 @@ mod tests {
     #[test]
     fn parses_flags() {
         let o = Options::defaults(false)
-            .parse(args(
-                "--scale 0.5 --max-ast 9000 --reps 3 --limit 1000 --only flex \
-                 --threads 4 --solset bitmap",
-            ))
+            .parse(args("--scale 0.5 --max-ast 9000 --reps 3 --limit 1000 --only flex"))
             .unwrap();
         assert_eq!(o.scale, 0.5);
         assert_eq!(o.max_ast, 9000);
         assert_eq!(o.reps, 3);
         assert_eq!(o.limit, 1000);
         assert_eq!(o.only.as_deref(), Some("flex"));
-        assert_eq!(o.threads, 4);
-        assert_eq!(o.solset, SolSetKind::Bitmap);
-    }
-
-    #[test]
-    fn solset_accepts_every_backend_name_and_defaults_to_sorted_span() {
-        assert_eq!(Options::defaults(false).solset, SolSetKind::SortedSpan);
-        for kind in SolSetKind::ALL {
-            let o = Options::defaults(false)
-                .parse(args(&format!("--solset {}", kind.name())))
-                .unwrap();
-            assert_eq!(o.solset, kind);
-        }
-        assert!(Options::defaults(false).parse(args("--solset wat")).is_err());
-        assert!(Options::defaults(false).parse(args("--solset")).is_err());
-    }
-
-    #[test]
-    fn threads_defaults_to_sequential() {
-        assert_eq!(Options::defaults(false).threads, 1);
-        assert_eq!(Options::defaults(true).threads, 1);
     }
 
     #[test]
@@ -189,8 +137,9 @@ mod tests {
         assert!(Options::defaults(false).parse(args("--scale abc")).is_err());
         assert!(Options::defaults(false).parse(args("--scale")).is_err());
         assert!(Options::defaults(false).parse(args("--scale 0")).is_err());
-        assert!(Options::defaults(false).parse(args("--threads 0")).is_err());
-        assert!(Options::defaults(false).parse(args("--threads x")).is_err());
+        // The removed least-solution knobs are unknown flags now.
+        assert!(Options::defaults(false).parse(args("--threads 4")).is_err());
+        assert!(Options::defaults(false).parse(args("--solset bitmap")).is_err());
     }
 
     #[test]

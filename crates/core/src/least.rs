@@ -12,6 +12,47 @@
 //!
 //! As in the paper, every reported inductive-form timing *includes* this
 //! pass (the harness times `solve()` + `least_solution()` together).
+//!
+//! # One pass, two callers
+//!
+//! [`LeastPass`] is that pass, and the only one in the workspace.
+//! [`Solver::least_solution`] runs it cold. A long-lived caller (a
+//! `bane-serve` session) runs it through a [`Revalidator`], which keeps the
+//! previous pass's solution and [`CsrSnapshot`] as a *baseline* and reuses
+//! every span the change cannot have touched.
+//!
+//! The pass first freezes the solved graph into a [`CsrSnapshot`]
+//! (canonical, sorted rows in layout order), then walks the canonical
+//! variables in **layout order** — creation order for standard form,
+//! increasing variable order for inductive form — and appends each set to a
+//! fresh arena in that order:
+//!
+//! - a **clean** variable copies its span from the baseline. Clean means: it
+//!   was canonical in the baseline, its source and predecessor rows equal
+//!   the baseline CSR's, and none of its predecessors is dirty;
+//! - every other variable is **dirty** and is merged from its own sources
+//!   and its predecessors' sets, which sit earlier in the new arena, through
+//!   the one pairwise [`merge_sorted_dedup`] kernel.
+//!
+//! With no baseline every variable is dirty, which is the cold pass. The
+//! same sweep computes each variable's condensation level (`0` with no
+//! canonical predecessor, else `1 + max` over its predecessors) for the
+//! [`RevalidateOutcome`] figures.
+//!
+//! # Why a baseline pass is byte-identical to the cold pass
+//!
+//! Each set is canonical — sorted and deduplicated — so its content does not
+//! depend on how it was produced. A clean variable's baseline span holds
+//! exactly what a cold pass would compute: its rows are unchanged and,
+//! inductively along the layout, so are its predecessors' sets. The arena
+//! layout is fixed by the layout order, which does not depend on the
+//! baseline, and the span rule is the same on both paths (standard form
+//! appends a span for every canonical variable, including the degenerate
+//! empty `(k, k)`; inductive form leaves an empty set at `(0, 0)`).
+//! Identical contents in identical order is identical bytes, which is what
+//! `LeastSolution`'s `PartialEq` (a raw-buffer comparison) pins in the
+//! tests. Nothing assumes the baseline is a lower bound, so constraint
+//! removal (a replayed fresh solver) takes the same path as growth.
 
 use bane_util::idx::Idx;
 use crate::expr::{TermId, Var};
@@ -22,10 +63,9 @@ use crate::solver::{Form, Solver};
 
 /// Borrowed view of exactly the solver state the least-solution pass reads.
 ///
-/// Obtained from [`Solver::least_parts`]. Everything here is a shared
-/// reference to `Sync` data, so a `LeastParts` can be captured by scoped
-/// worker threads (`bane-par`'s level-parallel pass) while the solver itself
-/// stays on the owning thread.
+/// Obtained from [`Solver::least_parts`], so a caller that owns its own
+/// [`Revalidator`] can run the pass while the solver stays borrowed
+/// read-only.
 #[derive(Clone, Copy)]
 pub struct LeastParts<'a> {
     /// The solved constraint graph.
@@ -67,39 +107,6 @@ impl LeastParts<'_> {
             out.sort_unstable_by_key(|&v| self.order.key(v));
         }
     }
-
-    /// Computes the **condensation level** of every canonical variable over
-    /// the canonical predecessor DAG (read from a frozen [`CsrSnapshot`])
-    /// and returns the maximum level.
-    ///
-    /// Level 0 variables have no canonical variable predecessors; otherwise
-    /// `level(v) = 1 + max(level(preds))`. Because inductive-form
-    /// predecessor edges always decrease the variable order, every
-    /// predecessor of `v` appears before `v` in `layout`, making a single
-    /// forward sweep sufficient — and making each level an independent batch
-    /// a parallel evaluator can process with no intra-level dependencies.
-    /// For standard form every variable is level 0 (sets are read directly
-    /// from explicit source lists).
-    ///
-    /// `out` is indexed by raw variable index; entries for non-canonical
-    /// variables are 0 and meaningless. Reuses `out`'s capacity.
-    pub fn levels_into(&self, csr: &CsrSnapshot, layout: &[Var], out: &mut Vec<u32>) -> u32 {
-        out.clear();
-        out.resize(self.graph.len(), 0);
-        if let Form::Standard = self.form {
-            return 0;
-        }
-        let mut max_level = 0u32;
-        for &v in layout {
-            let mut level = 0u32;
-            for &u in csr.preds(v) {
-                level = level.max(out[u.index()] + 1);
-            }
-            out[v.index()] = level;
-            max_level = max_level.max(level);
-        }
-        max_level
-    }
 }
 
 /// A frozen, canonicalized compressed-sparse-row view of the post-closure
@@ -108,10 +115,9 @@ impl LeastParts<'_> {
 /// The adjacency lists the solver closes over are built for *mutation*:
 /// entries are raw (possibly stale under collapsed representatives), may
 /// alias after canonicalization, and sources are unsorted. The least pass
-/// is pure *traversal*, and both the sequential pass and `bane-par`'s
-/// level-parallel evaluator used to pay the canonicalization tax per read:
-/// one `find` per predecessor entry plus a sort of every source list, per
-/// variable, per pass. `CsrSnapshot` pays it exactly once: a single `build`
+/// is pure *traversal*, and would otherwise pay the canonicalization tax per
+/// read: one `find` per predecessor entry plus a sort of every source list,
+/// per variable, per pass. `CsrSnapshot` pays it exactly once: a single `build`
 /// freezes, for every canonical variable,
 ///
 /// - its canonical variable predecessors (forwarded through `find`,
@@ -123,14 +129,12 @@ impl LeastParts<'_> {
 /// — so the kernel sweep reads `cols`/`srcs` strictly front to back
 /// (prefetch-friendly), and within a row columns are sorted ascending.
 ///
-/// Byte-identity is unaffected: each variable's result set is canonical
-/// (sorted + deduplicated), so its content does not depend on whether
-/// duplicate predecessor runs were merged once or twice, and the arena
-/// layout is fixed by the commit order, which the snapshot does not touch.
+/// The rows are also what a [`Revalidator`] compares against its baseline
+/// to decide which variables are clean.
 ///
 /// All buffers are reused across builds; a warmed snapshot re-freezes a
 /// same-shaped graph without allocating (pinned by the workspace
-/// allocation test through `bane-par`'s single-threaded pass).
+/// allocation test through a warmed [`Revalidator`]).
 #[derive(Clone, Debug, Default)]
 pub struct CsrSnapshot {
     /// `(start, end)` into `cols` per raw variable index (`(0, 0)` for
@@ -222,18 +226,6 @@ impl CsrSnapshot {
         &self.srcs[s as usize..e as usize]
     }
 
-    /// Replaces `self`'s contents with a copy of `other`, reusing every
-    /// buffer (a `clone_from` that actually reuses capacity — the derived
-    /// `Clone` does not override `clone_from`, so it would reallocate).
-    /// Used by the difference-propagating kernels to retain the previous
-    /// pass's rows without per-pass allocation once warm.
-    pub fn copy_from(&mut self, other: &CsrSnapshot) {
-        self.var_rows.clone_from(&other.var_rows);
-        self.cols.clone_from(&other.cols);
-        self.src_rows.clone_from(&other.src_rows);
-        self.srcs.clone_from(&other.srcs);
-    }
-
     /// Exposes the raw CSR buffers as
     /// `(var_rows, cols, src_rows, srcs)` — the serialization surface used
     /// by `bane-snap`'s on-disk writer. Row `(start, end)` pairs index into
@@ -242,15 +234,6 @@ impl CsrSnapshot {
     #[allow(clippy::type_complexity)]
     pub fn raw_parts(&self) -> (&[(u32, u32)], &[Var], &[(u32, u32)], &[TermId]) {
         (&self.var_rows, &self.cols, &self.src_rows, &self.srcs)
-    }
-
-    /// Number of row slots (one per raw variable index covered by the last
-    /// [`build`](CsrSnapshot::build)). Callers comparing rows across two
-    /// snapshots — the difference-propagating and revalidating kernels in
-    /// `bane-par` — must bounds-check against this before indexing a
-    /// variable that may not exist in the older snapshot.
-    pub fn rows(&self) -> usize {
-        self.var_rows.len()
     }
 
     /// Total canonical predecessor entries across all rows.
@@ -271,9 +254,7 @@ const GALLOP_RATIO: usize = 16;
 /// Merges two sorted, internally distinct slices onto the end of `out`,
 /// dropping duplicates across the two.
 ///
-/// This is the primitive both the sequential pass and the parallel
-/// evaluator in `bane-par` build set unions from; sharing it guarantees the
-/// two produce identical bytes for identical inputs.
+/// This is the primitive [`LeastPass`] builds every set union from.
 ///
 /// The common least-solution merge is heavily skewed — a handful of fresh
 /// sources against a large accumulated set — so disjoint ranges are
@@ -407,7 +388,7 @@ fn gallop_lower_bound(slice: &[TermId], target: TermId) -> usize {
 /// than as a `Vec` per variable: building the solution then costs one
 /// amortized allocation total instead of one per variable, and reading
 /// consecutive sets walks contiguous memory.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeastSolution {
     rep: Vec<Var>,
     arena: Vec<TermId>,
@@ -457,10 +438,9 @@ impl LeastSolution {
     /// Assembles a solution from its raw storage, the inverse of
     /// [`raw_parts`](LeastSolution::raw_parts).
     ///
-    /// This is the constructor external evaluators (`bane-par`) use to
-    /// produce output *byte-identical* to the sequential pass: `PartialEq`
-    /// on two `LeastSolution`s compares exactly these three buffers, so an
-    /// equality assertion pins layout, not just set contents.
+    /// `PartialEq` on two `LeastSolution`s compares exactly these three
+    /// buffers, so an equality assertion pins layout, not just set
+    /// contents.
     ///
     /// Invariants (debug-asserted): `rep` and `spans` have one entry per
     /// variable, every span lies inside `arena`, and no two non-empty spans
@@ -497,25 +477,328 @@ impl LeastSolution {
     }
 }
 
-impl Solver {
-    /// Computes the least solution of the solved system.
+/// What one [`LeastPass`] run did: how much of the baseline survived the
+/// change and how localized the recomputation was. `bane-serve` feeds these
+/// figures into its `serve.dirty.*` / `serve.reuse.hit` counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RevalidateOutcome {
+    /// Condensation levels of the canonical predecessor DAG (0 for an
+    /// empty system; standard form has one level).
+    pub total_levels: usize,
+    /// Levels containing at least one dirty (re-evaluated) variable.
+    pub dirty_levels: usize,
+    /// Canonical variables whose set was recomputed.
+    pub dirty_vars: usize,
+    /// Canonical variables whose baseline span was copied verbatim.
+    pub reused_vars: usize,
+    /// Whether a fast-apply session abandoned in-place repair and replayed
+    /// the canonical sequence instead. Always `false` from the pass itself —
+    /// `bane-serve` sets it when its two-tier apply falls back (see
+    /// `docs/INCREMENTAL.md`).
+    pub fell_back: bool,
+}
+
+/// The least-solution pass of equation (1) and its reusable working buffers
+/// (see the [module docs](self)).
+///
+/// A run is two steps, so a caller can time the CSR freeze on its own:
+/// [`freeze`](LeastPass::freeze) canonicalizes the solved graph into a
+/// [`CsrSnapshot`], then [`evaluate`](LeastPass::evaluate) computes every
+/// set over it, optionally reusing a baseline. Every buffer is reused
+/// across runs, so a warmed pass over a same-shaped system allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
+pub struct LeastPass {
+    /// Canonical variables in layout order (the order sets are appended).
+    layout: Vec<Var>,
+    /// Condensation level per raw variable index.
+    levels: Vec<u32>,
+    /// Whether each raw variable index was recomputed this run.
+    dirty: Vec<bool>,
+    /// Whether each level holds a dirty variable.
+    level_dirty: Vec<bool>,
+    /// The non-empty predecessor spans feeding the current variable.
+    runs: Vec<(u32, u32)>,
+    /// Ping-pong state of the pairwise merge.
+    acc: Vec<TermId>,
+    buf_b: Vec<TermId>,
+    bounds_a: Vec<(u32, u32)>,
+    bounds_b: Vec<(u32, u32)>,
+}
+
+impl LeastPass {
+    /// A pass with no buffers warmed.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Step one: writes the representative map of `parts` into `out`, sizes
+    /// its span table, and freezes the solved graph into `csr`, rows in
+    /// layout order.
     ///
-    /// For standard form this reads the explicit source lists; for
+    /// The span table is sized here, before the CSR build, rather than in
+    /// [`evaluate`](LeastPass::evaluate): a cold pass that allocates it
+    /// after the CSR's buffers left glibc holding about 3 MB more freed
+    /// heap over the 27-program suite (`perfbench` `analyze` `rss_mb`,
+    /// x86-64 Linux), though live memory was the same.
+    pub fn freeze(&mut self, parts: &LeastParts<'_>, csr: &mut CsrSnapshot, out: &mut LeastSolution) {
+        parts.rep_map_into(&mut out.rep);
+        out.spans.clear();
+        out.spans.resize(out.rep.len(), (0, 0));
+        parts.layout_order_into(&out.rep, &mut self.layout);
+        csr.build(parts, &self.layout);
+    }
+
+    /// Step two: computes the sets of `out` over `csr`, which the matching
+    /// [`freeze`](LeastPass::freeze) just built.
+    ///
+    /// With a `baseline` — the solution and CSR of an earlier pass — every
+    /// clean variable copies its baseline span instead of merging. The
+    /// result is byte-identical to a cold pass either way (see the
+    /// [module docs](self)).
+    pub fn evaluate(
+        &mut self,
+        form: Form,
+        csr: &CsrSnapshot,
+        baseline: Option<(&LeastSolution, &CsrSnapshot)>,
+        out: &mut LeastSolution,
+    ) -> RevalidateOutcome {
+        let LeastPass { layout, levels, dirty, level_dirty, runs, acc, buf_b, bounds_a, bounds_b } =
+            self;
+        let LeastSolution { rep, arena, spans } = out;
+        let n = rep.len();
+        debug_assert!(spans.len() == n && spans.iter().all(|&s| s == (0, 0)), "evaluate follows freeze");
+        arena.clear();
+        levels.clear();
+        levels.resize(n, 0);
+        dirty.clear();
+        dirty.resize(n, false);
+        level_dirty.clear();
+        let mut dirty_vars = 0usize;
+        let mut max_level = 0u32;
+
+        /// Appends already-sorted, already-distinct `set` as `v`'s span.
+        fn append(set: &[TermId], arena: &mut Vec<TermId>, spans: &mut [(u32, u32)], v: Var) {
+            let start = u32::try_from(arena.len()).expect("least-solution arena overflow");
+            arena.extend_from_slice(set);
+            let end = u32::try_from(arena.len()).expect("least-solution arena overflow");
+            spans[v.index()] = (start, end);
+        }
+
+        for &v in layout.iter() {
+            let i = v.index();
+            let (srcs, preds) = (csr.srcs(v), csr.preds(v));
+            // Predecessors precede `v` in the layout, so their levels and
+            // dirty flags are final.
+            let mut level = 0u32;
+            let mut pred_dirty = false;
+            for &u in preds {
+                level = level.max(levels[u.index()] + 1);
+                pred_dirty |= dirty[u.index()];
+            }
+            levels[i] = level;
+            max_level = max_level.max(level);
+
+            let reuse = baseline.filter(|&(base, base_csr)| {
+                !pred_dirty
+                    && base.rep.get(i) == Some(&v)
+                    && base_csr.srcs(v) == srcs
+                    && base_csr.preds(v) == preds
+            });
+            if let Some((base, _)) = reuse {
+                let (s, e) = base.spans[i];
+                let set = &base.arena[s as usize..e as usize];
+                // Same span rule as the merge below: inductive form leaves
+                // an empty set at `(0, 0)`.
+                if !set.is_empty() || form == Form::Standard {
+                    append(set, arena, spans, v);
+                }
+                continue;
+            }
+
+            dirty[i] = true;
+            dirty_vars += 1;
+            if level_dirty.len() <= level as usize {
+                level_dirty.resize(level as usize + 1, false);
+            }
+            level_dirty[level as usize] = true;
+            if form == Form::Standard {
+                // Standard form's sets are exactly the frozen source rows
+                // (already sorted and distinct); its pred rows are empty.
+                append(srcs, arena, spans, v);
+                continue;
+            }
+            runs.clear();
+            for &u in preds {
+                let span = spans[u.index()];
+                if span.1 > span.0 {
+                    runs.push(span);
+                }
+            }
+            // The inputs are sorted runs (each span is sorted and distinct,
+            // as is the frozen `srcs` row), so small arities merge linearly
+            // instead of re-sorting. The common cases by far are zero or one
+            // predecessor run.
+            match (srcs.is_empty(), runs.as_slice()) {
+                (true, []) => {}
+                (false, []) => append(srcs, arena, spans, v),
+                (true, &[(s, e)]) => {
+                    let start = u32::try_from(arena.len()).expect("least-solution arena overflow");
+                    arena.extend_from_within(s as usize..e as usize);
+                    spans[i] = (start, start + (e - s));
+                }
+                _ => {
+                    // Two or more input runs: iterated pairwise merging,
+                    // O(total · log runs) with no sort. The first round
+                    // reads straight out of the arena (and `srcs`); later
+                    // rounds ping-pong between two scratch buffers.
+                    let extra = usize::from(!srcs.is_empty());
+                    let total = runs.len() + extra;
+                    let input = |k: usize| -> &[TermId] {
+                        if k < extra {
+                            srcs
+                        } else {
+                            let (s, e) = runs[k - extra];
+                            &arena[s as usize..e as usize]
+                        }
+                    };
+                    acc.clear();
+                    bounds_a.clear();
+                    let mut k = 0;
+                    while k < total {
+                        let start = acc.len() as u32;
+                        if k + 1 < total {
+                            merge_sorted_dedup(input(k), input(k + 1), acc);
+                            k += 2;
+                        } else {
+                            acc.extend_from_slice(input(k));
+                            k += 1;
+                        }
+                        bounds_a.push((start, acc.len() as u32));
+                    }
+                    while bounds_a.len() > 1 {
+                        buf_b.clear();
+                        bounds_b.clear();
+                        for pair in bounds_a.chunks(2) {
+                            let start = buf_b.len() as u32;
+                            let (s1, e1) = pair[0];
+                            match pair.get(1) {
+                                Some(&(s2, e2)) => merge_sorted_dedup(
+                                    &acc[s1 as usize..e1 as usize],
+                                    &acc[s2 as usize..e2 as usize],
+                                    buf_b,
+                                ),
+                                None => buf_b.extend_from_slice(&acc[s1 as usize..e1 as usize]),
+                            }
+                            bounds_b.push((start, buf_b.len() as u32));
+                        }
+                        std::mem::swap(acc, buf_b);
+                        std::mem::swap(bounds_a, bounds_b);
+                    }
+                    append(acc, arena, spans, v);
+                }
+            }
+        }
+
+        RevalidateOutcome {
+            total_levels: if layout.is_empty() { 0 } else { max_level as usize + 1 },
+            dirty_levels: level_dirty.iter().filter(|&&d| d).count(),
+            dirty_vars,
+            reused_vars: layout.len() - dirty_vars,
+            fell_back: false,
+        }
+    }
+}
+
+/// A [`LeastPass`] that keeps its last solution and CSR as the baseline of
+/// the next run: the least-solution state of a long-lived `bane-serve`
+/// session.
+///
+/// The solution and CSR are double-buffered. Each run swaps the current
+/// pair into the baseline slot and writes the new pair into the other
+/// buffers, so between runs the revalidator holds one live solution, one
+/// live CSR, and the spare buffers' capacity (the spare solution is
+/// emptied after every run). A warmed revalidator over a same-shaped system
+/// allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Revalidator {
+    pass: LeastPass,
+    ls: LeastSolution,
+    csr: CsrSnapshot,
+    spare_ls: LeastSolution,
+    spare_csr: CsrSnapshot,
+    /// Whether `ls`/`csr` hold a completed run.
+    valid: bool,
+}
+
+impl Revalidator {
+    /// A revalidator with no baseline.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Step one of a run ([`LeastPass::freeze`]): retires the current
+    /// solution and CSR to the baseline slot and freezes `parts` into the
+    /// spare CSR. Must be followed by [`evaluate`](Revalidator::evaluate).
+    pub fn freeze(&mut self, parts: &LeastParts<'_>) {
+        std::mem::swap(&mut self.ls, &mut self.spare_ls);
+        std::mem::swap(&mut self.csr, &mut self.spare_csr);
+        self.pass.freeze(parts, &mut self.csr, &mut self.ls);
+    }
+
+    /// Step two of a run ([`LeastPass::evaluate`]): computes the new
+    /// solution, copying every clean span from the previous run's.
+    pub fn evaluate(&mut self, form: Form) -> RevalidateOutcome {
+        let baseline = self.valid.then_some((&self.spare_ls, &self.spare_csr));
+        let outcome = self.pass.evaluate(form, &self.csr, baseline, &mut self.ls);
+        let LeastSolution { rep, arena, spans } = &mut self.spare_ls;
+        rep.clear();
+        arena.clear();
+        spans.clear();
+        self.valid = true;
+        outcome
+    }
+
+    /// Both steps: revalidates against the previous run's solution (a cold
+    /// pass on the first run).
+    pub fn run(&mut self, parts: &LeastParts<'_>) -> RevalidateOutcome {
+        self.freeze(parts);
+        self.evaluate(parts.form)
+    }
+
+    /// The solution of the last run, or `None` before the first.
+    pub fn solution(&self) -> Option<&LeastSolution> {
+        self.valid.then_some(&self.ls)
+    }
+
+    /// The CSR the last run froze and evaluated: the graph half of what
+    /// `bane-snap` serializes next to [`solution`](Revalidator::solution),
+    /// identical to the one [`Solver::least_solution`] builds for the same
+    /// solved system.
+    pub fn csr(&self) -> &CsrSnapshot {
+        &self.csr
+    }
+
+    /// Solution entries the revalidator holds between runs. The spare
+    /// solution is emptied after every run, so this equals the live
+    /// solution's [`total_entries`](LeastSolution::total_entries) however
+    /// many runs it has made.
+    pub fn arena_entries(&self) -> usize {
+        self.ls.arena.len() + self.spare_ls.arena.len()
+    }
+}
+
+impl Solver {
+    /// Computes the least solution of the solved system: one cold
+    /// [`LeastPass`].
+    ///
+    /// For standard form the sets are the explicit source lists; for
     /// inductive form it runs the increasing-order pass of equation (1).
     /// Either way the pass traverses a [`CsrSnapshot`] frozen from the
-    /// solved graph (canonicalized once, not per read). Call after
+    /// solved graph (canonicalized once, not per read), kept on the solver
+    /// as [`least_csr`](Solver::least_csr). Call after
     /// [`solve`](Solver::solve).
-    ///
-    /// With a non-default [`SolverConfig::solset`] backend the pass runs
-    /// through the retained difference-propagating
-    /// [`LsKernel`](crate::solset::LsKernel) instead — producing the same
-    /// bytes, but re-merging only what changed since the previous call.
-    ///
-    /// [`SolverConfig::solset`]: crate::solver::SolverConfig::solset
     pub fn least_solution(&mut self) -> LeastSolution {
-        if self.config().solset != crate::solset::SolSetKind::SortedSpan {
-            return self.least_solution_backend();
-        }
         #[cfg(feature = "obs")]
         if let Some(rec) = self.obs() {
             rec.start(bane_obs::Phase::LeastSolution);
@@ -523,151 +806,20 @@ impl Solver {
         // The snapshot lives on the solver so repeated passes reuse its
         // buffers; taken out for the duration of the borrow of the parts.
         let mut csr = std::mem::take(self.csr_snapshot_mut());
+        let mut pass = LeastPass::new();
+        let mut result = LeastSolution::default();
         let parts = self.least_parts();
-        let LeastParts { graph: _, fwd, order, form } = parts;
-        let n = parts.graph.len();
-        let mut rep: Vec<Var> = Vec::with_capacity(n);
-        for i in 0..n {
-            rep.push(fwd.find_const(Var::new(i)));
-        }
-        // All sets share one arena; `acc` is the only working buffer and is
-        // reused across variables, so the pass allocates O(1) vectors total
-        // instead of one `Vec` per variable.
-        let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
-        let mut arena: Vec<TermId> = Vec::new();
-        let mut acc: Vec<TermId> = Vec::new();
-        let mut reps: Vec<Var> =
-            (0..n).map(Var::new).filter(|&v| rep[v.index()] == v).collect();
-        if let Form::Inductive = form {
-            // Predecessor edges always point from smaller to larger order,
-            // so ascending order is a valid evaluation order.
-            reps.sort_by_key(|&v| order.key(v));
-        }
-
         #[cfg(feature = "obs")]
         if let Some(rec) = self.obs() {
             rec.start(bane_obs::Phase::CsrBuild);
         }
-        csr.build(&parts, &reps);
+        pass.freeze(&parts, &mut csr, &mut result);
         #[cfg(feature = "obs")]
         if let Some(rec) = self.obs() {
             rec.stop(bane_obs::Phase::CsrBuild);
             rec.add(bane_obs::Counter::CsrBuilds, 1);
         }
-
-        /// Appends already-sorted, already-distinct `set` as `v`'s span.
-        fn append(
-            set: &[TermId],
-            arena: &mut Vec<TermId>,
-            spans: &mut [(u32, u32)],
-            v: Var,
-        ) {
-            let start = u32::try_from(arena.len()).expect("least-solution arena overflow");
-            arena.extend_from_slice(set);
-            let end = u32::try_from(arena.len()).expect("least-solution arena overflow");
-            spans[v.index()] = (start, end);
-        }
-
-        match form {
-            Form::Standard => {
-                // Standard form's sets are exactly the frozen source rows
-                // (already sorted and distinct).
-                for &v in &reps {
-                    append(csr.srcs(v), &mut arena, &mut spans, v);
-                }
-            }
-            Form::Inductive => {
-                // Reusable per-variable buffers: the canonical predecessor
-                // spans feeding this variable and the ping-pong state of
-                // the pairwise merge.
-                let mut runs: Vec<(u32, u32)> = Vec::new();
-                let mut buf_b: Vec<TermId> = Vec::new();
-                let mut bounds_a: Vec<(u32, u32)> = Vec::new();
-                let mut bounds_b: Vec<(u32, u32)> = Vec::new();
-                for &v in &reps {
-                    let srcs = csr.srcs(v);
-                    runs.clear();
-                    for &u in csr.preds(v) {
-                        let span = spans[u.index()];
-                        if span.1 > span.0 {
-                            runs.push(span);
-                        }
-                    }
-                    // The inputs are sorted runs (each span is sorted and
-                    // distinct, as is the frozen `srcs` row), so small
-                    // arities merge linearly instead of re-sorting. The
-                    // common cases by far are zero or one predecessor run.
-                    match (srcs.is_empty(), runs.as_slice()) {
-                        (true, []) => spans[v.index()] = (0, 0),
-                        (false, []) => append(srcs, &mut arena, &mut spans, v),
-                        (true, &[(s, e)]) => {
-                            let start = u32::try_from(arena.len())
-                                .expect("least-solution arena overflow");
-                            arena.extend_from_within(s as usize..e as usize);
-                            spans[v.index()] = (start, start + (e - s));
-                        }
-                        _ => {
-                            // Two or more input runs: iterated pairwise
-                            // merging, O(total · log runs) with no sort.
-                            // Level 0 reads straight out of the arena (and
-                            // `srcs`); later levels ping-pong between two
-                            // scratch buffers.
-                            let extra = usize::from(!srcs.is_empty());
-                            let total = runs.len() + extra;
-                            let input = |i: usize| -> &[TermId] {
-                                if i < extra {
-                                    srcs
-                                } else {
-                                    let (s, e) = runs[i - extra];
-                                    &arena[s as usize..e as usize]
-                                }
-                            };
-                            acc.clear();
-                            bounds_a.clear();
-                            let mut i = 0;
-                            while i < total {
-                                let start = acc.len() as u32;
-                                if i + 1 < total {
-                                    merge_sorted_dedup(input(i), input(i + 1), &mut acc);
-                                    i += 2;
-                                } else {
-                                    acc.extend_from_slice(input(i));
-                                    i += 1;
-                                }
-                                bounds_a.push((start, acc.len() as u32));
-                            }
-                            while bounds_a.len() > 1 {
-                                buf_b.clear();
-                                bounds_b.clear();
-                                let mut i = 0;
-                                while i < bounds_a.len() {
-                                    let start = buf_b.len() as u32;
-                                    if i + 1 < bounds_a.len() {
-                                        let (s1, e1) = bounds_a[i];
-                                        let (s2, e2) = bounds_a[i + 1];
-                                        merge_sorted_dedup(
-                                            &acc[s1 as usize..e1 as usize],
-                                            &acc[s2 as usize..e2 as usize],
-                                            &mut buf_b,
-                                        );
-                                        i += 2;
-                                    } else {
-                                        let (s, e) = bounds_a[i];
-                                        buf_b.extend_from_slice(&acc[s as usize..e as usize]);
-                                        i += 1;
-                                    }
-                                    bounds_b.push((start, buf_b.len() as u32));
-                                }
-                                std::mem::swap(&mut acc, &mut buf_b);
-                                std::mem::swap(&mut bounds_a, &mut bounds_b);
-                            }
-                            append(&acc, &mut arena, &mut spans, v);
-                        }
-                    }
-                }
-            }
-        }
-        let result = LeastSolution { rep, arena, spans };
+        pass.evaluate(parts.form, &csr, None, &mut result);
         // Hand the warmed snapshot back to the solver for the next pass.
         *self.csr_snapshot_mut() = csr;
         #[cfg(feature = "obs")]
@@ -675,49 +827,6 @@ impl Solver {
             let set_vars = result.spans.iter().filter(|(s, e)| e > s).count();
             rec.set(bane_obs::Counter::LsSetVars, set_vars as u64);
             rec.set(bane_obs::Counter::LsEntries, result.total_entries() as u64);
-            rec.stop(bane_obs::Phase::LeastSolution);
-        }
-        result
-    }
-
-    /// The non-default-backend least-solution path: evaluate through the
-    /// retained [`KernelHolder`](crate::solset::KernelHolder), difference
-    /// propagation on. A stale kernel (backend switched mid-run) is simply
-    /// replaced — the kernel cold-starts with a full pass.
-    fn least_solution_backend(&mut self) -> LeastSolution {
-        use crate::solset::KernelHolder;
-        let kind = self.config().solset;
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.obs() {
-            rec.start(bane_obs::Phase::LeastSolution);
-        }
-        let mut csr = std::mem::take(self.csr_snapshot_mut());
-        let mut holder = match self.ls_kernel_slot().take() {
-            Some(holder) if holder.kind() == kind => holder,
-            _ => Box::new(KernelHolder::for_kind(kind)),
-        };
-        let (result, _pass, _sets) = {
-            let parts = self.least_parts();
-            holder.evaluate(&parts, &mut csr, true)
-        };
-        *self.csr_snapshot_mut() = csr;
-        *self.ls_kernel_slot() = Some(holder);
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.obs() {
-            rec.add(bane_obs::Counter::CsrBuilds, 1);
-            let set_vars = result.spans.iter().filter(|(s, e)| e > s).count();
-            rec.set(bane_obs::Counter::LsSetVars, set_vars as u64);
-            rec.set(bane_obs::Counter::LsEntries, result.total_entries() as u64);
-            // Difference-propagation accounting accumulates across passes;
-            // storage statistics reflect the latest backend state.
-            rec.add(bane_obs::Counter::LsDeltaFull, _pass.full);
-            rec.add(bane_obs::Counter::LsDeltaIncr, _pass.incr);
-            rec.add(bane_obs::Counter::LsDeltaIn, _pass.elems_in);
-            rec.add(bane_obs::Counter::LsDeltaFresh, _pass.elems_fresh);
-            rec.set(bane_obs::Counter::SolsetBlocks, _sets.blocks as u64);
-            rec.set(bane_obs::Counter::SolsetBlocksShared, _sets.share_hits);
-            rec.set(bane_obs::Counter::SolsetPromotions, _sets.promotions);
-            rec.set(bane_obs::Counter::SolsetBytes, _sets.bytes as u64);
             rec.stop(bane_obs::Phase::LeastSolution);
         }
         result
@@ -1027,5 +1136,226 @@ mod tests {
             let ifo = build(SolverConfig::if_online());
             assert_eq!(sf, ifo, "round {round}");
         }
+    }
+
+    fn configs() -> [SolverConfig; 4] {
+        [
+            SolverConfig::sf_plain(),
+            SolverConfig::if_plain(),
+            SolverConfig::sf_online(),
+            SolverConfig::if_online(),
+        ]
+    }
+
+    /// Random layered constraint systems with cycles and sources; the last
+    /// `hold_back` variable-variable edges are returned unfed for growth
+    /// tests.
+    fn random_system(config: SolverConfig, seed: u64, hold_back: usize) -> (Solver, Vec<(Var, Var)>) {
+        use bane_util::SplitMix64;
+        let mut rng = SplitMix64::new(seed);
+        let mut s = Solver::new(config);
+        let n = 60;
+        let vs: Vec<Var> = (0..n).map(|_| s.fresh_var()).collect();
+        let mut ts = Vec::new();
+        for k in 0..8 {
+            let c = s.register_nullary(format!("c{k}"));
+            ts.push(s.term(c, vec![]));
+        }
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.next_bool(0.05) {
+                    edges.push((vs[i], vs[j]));
+                }
+            }
+        }
+        // A few back edges to form cycles.
+        for _ in 0..6 {
+            let a = rng.next_below(n as u64) as usize;
+            let b = rng.next_below(n as u64) as usize;
+            edges.push((vs[a], vs[b]));
+        }
+        let held = edges.split_off(edges.len().saturating_sub(hold_back));
+        for &(a, b) in &edges {
+            s.add(a, b);
+        }
+        for (k, &t) in ts.iter().enumerate() {
+            s.add(t, vs[(k * 7) % n]);
+        }
+        s.solve();
+        (s, held)
+    }
+
+    /// The revalidator's solution after a run (it always has one).
+    fn solution(rv: &Revalidator) -> &LeastSolution {
+        rv.solution().expect("the revalidator has run")
+    }
+
+    /// A baseline run over an unchanged system is byte-identical to the
+    /// sequential cold pass, and so is its CSR.
+    #[test]
+    fn byte_identical_to_sequential_on_random_systems() {
+        for config in configs() {
+            for seed in 0..6u64 {
+                let mut s = random_system(config, seed, 0).0;
+                let seq = s.least_solution();
+                let mut rv = Revalidator::new();
+                for _ in 0..2 {
+                    rv.run(&s.least_parts());
+                    assert_eq!(solution(&rv), &seq, "{config:?} seed {seed}");
+                    assert_eq!(rv.csr().raw_parts(), s.least_csr().raw_parts());
+                }
+            }
+        }
+    }
+
+    /// One revalidator carried across unrelated systems: a baseline from a
+    /// different system is only ever a source of clean spans, never of
+    /// wrong ones.
+    #[test]
+    fn revalidator_is_reusable_across_systems() {
+        let mut rv = Revalidator::new();
+        for seed in [3u64, 4, 3] {
+            let mut s = random_system(SolverConfig::if_online(), seed, 0).0;
+            let seq = s.least_solution();
+            rv.run(&s.least_parts());
+            assert_eq!(solution(&rv), &seq, "seed {seed}");
+            assert!(rv.run(&s.least_parts()).total_levels >= 1);
+        }
+    }
+
+    /// Revalidation from cold, after monotone growth, and over an unchanged
+    /// system — byte-identical to the sequential pass in every case, with
+    /// the unchanged pass reporting zero dirty work.
+    #[test]
+    fn revalidate_matches_sequential_across_growth() {
+        for config in configs() {
+            for seed in 0..3u64 {
+                let (mut s, held) = random_system(config, 0x5E5E + seed, 4);
+                let mut rv = Revalidator::new();
+                let out = rv.run(&s.least_parts());
+                assert_eq!(solution(&rv), &s.least_solution(), "cold");
+                assert_eq!(out.reused_vars, 0, "cold pass reuses nothing");
+                let canonical = out.dirty_vars;
+
+                // Unchanged system: everything reuses.
+                let out = rv.run(&s.least_parts());
+                assert_eq!(solution(&rv), &s.least_solution(), "unchanged");
+                assert_eq!(out.dirty_vars, 0, "{config:?} unchanged is all-clean");
+                assert_eq!(out.dirty_levels, 0);
+                assert_eq!(out.reused_vars, canonical);
+
+                // Monotone growth through the same live solver.
+                for &(a, b) in &held {
+                    s.add(a, b);
+                }
+                s.solve();
+                let out = rv.run(&s.least_parts());
+                assert_eq!(solution(&rv), &s.least_solution(), "{config:?} seed {seed} grown");
+                let live = (0..s.graph_len()).filter(|&i| s.find(Var::new(i)) == Var::new(i)).count();
+                assert_eq!(out.dirty_vars + out.reused_vars, live);
+            }
+        }
+    }
+
+    /// Non-monotone change: the baseline comes from a *larger* system and
+    /// the next pass evaluates a fresh solver missing some of its edges —
+    /// exactly the shape of `bane-serve`'s replay path after a removal.
+    /// Reused spans must still be byte-correct.
+    #[test]
+    fn revalidate_survives_constraint_removal_via_fresh_solver() {
+        for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
+            for seed in 0..3u64 {
+                let mut rv = Revalidator::new();
+                // Baseline: the full system.
+                let (mut full, _) = random_system(config, 0xDEAD + seed, 0);
+                rv.run(&full.least_parts());
+                assert_eq!(solution(&rv), &full.least_solution(), "baseline");
+
+                // "Removal": rebuild from scratch, holding edges back.
+                let (mut shrunk, _held) = random_system(config, 0xDEAD + seed, 5);
+                let out = rv.run(&shrunk.least_parts());
+                assert_eq!(solution(&rv), &shrunk.least_solution(), "{config:?} seed {seed} shrunk");
+                assert!(out.total_levels >= out.dirty_levels);
+            }
+        }
+    }
+
+    /// A localized edit must not dirty the whole schedule: grow one source
+    /// deep in a long chain and check that clean levels survive.
+    #[test]
+    fn revalidate_localizes_dirty_levels_on_chain_edit() {
+        let mut s = Solver::new(SolverConfig::if_online());
+        let c = s.register_nullary("c");
+        let t = s.term(c, vec![]);
+        let d = s.register_nullary("d");
+        let td = s.term(d, vec![]);
+        // Two independent chains; the edit touches only the second.
+        let chain_a: Vec<Var> = (0..20).map(|_| s.fresh_var()).collect();
+        let chain_b: Vec<Var> = (0..20).map(|_| s.fresh_var()).collect();
+        for w in chain_a.windows(2) {
+            s.add(w[0], w[1]);
+        }
+        for w in chain_b.windows(2) {
+            s.add(w[0], w[1]);
+        }
+        s.add(t, chain_a[0]);
+        s.add(t, chain_b[0]);
+        s.solve();
+        let mut rv = Revalidator::new();
+        rv.run(&s.least_parts());
+        assert_eq!(solution(&rv), &s.least_solution());
+
+        // Edit: a new source lands mid-way down chain B.
+        s.add(td, chain_b[10]);
+        s.solve();
+        let out = rv.run(&s.least_parts());
+        assert_eq!(solution(&rv), &s.least_solution(), "post-edit bytes");
+        assert!(
+            out.dirty_levels < out.total_levels,
+            "edit at level 10 must leave lower levels clean: {out:?}"
+        );
+        assert!(out.reused_vars > out.dirty_vars, "most of the system is clean: {out:?}");
+    }
+
+    #[test]
+    fn empty_system_yields_empty_solution() {
+        let mut s = Solver::new(SolverConfig::if_online());
+        s.solve();
+        let mut rv = Revalidator::new();
+        assert!(rv.solution().is_none(), "no solution before the first run");
+        let out = rv.run(&s.least_parts());
+        assert_eq!(out, RevalidateOutcome::default());
+        assert_eq!(solution(&rv), &s.least_solution());
+        assert!(solution(&rv).is_empty());
+    }
+
+    /// Between runs the revalidator holds the live solution's entries and
+    /// no more.
+    #[test]
+    fn revalidator_retains_only_the_live_solution() {
+        let (mut s, held) = random_system(SolverConfig::if_online(), 0xA4E, 6);
+        let mut rv = Revalidator::new();
+        rv.run(&s.least_parts());
+        for &(a, b) in &held {
+            s.add(a, b);
+            s.solve();
+            rv.run(&s.least_parts());
+            assert_eq!(rv.arena_entries(), solution(&rv).total_entries());
+        }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn records_observability_counters() {
+        let mut s = random_system(SolverConfig::if_online(), 1, 0).0;
+        s.enable_obs();
+        let ls = s.least_solution();
+        let rec = s.obs().expect("obs enabled");
+        assert_eq!(rec.get(bane_obs::Counter::LsEntries), ls.total_entries() as u64);
+        assert_eq!(rec.get(bane_obs::Counter::CsrBuilds), 1);
+        let report = rec.report("least");
+        assert!(report.phases.iter().any(|p| p.phase == bane_obs::Phase::LeastSolution.name()));
+        assert!(report.phases.iter().any(|p| p.phase == bane_obs::Phase::CsrBuild.name()));
     }
 }

@@ -141,17 +141,6 @@ impl Problem {
         self.zero_term
     }
 
-    /// Replaces the solution-set backend in the recorded configuration.
-    ///
-    /// Solvers constructed from this problem evaluate their least solution
-    /// through the selected backend (see
-    /// [`SolverConfig::solset`](crate::solver::SolverConfig::solset)); the
-    /// recorded constraints are untouched, so the same recording can be
-    /// re-dressed per backend for comparative runs.
-    pub fn set_solset(&mut self, solset: crate::solset::SolSetKind) {
-        self.config.solset = solset;
-    }
-
     /// Splits off and returns the constraints from `at` onward, keeping the
     /// prefix recorded.
     ///

@@ -47,7 +47,6 @@ use crate::order::{OrderPolicy, VarOrder};
 use crate::problem::{ConstraintBuilder, Problem};
 use crate::prov::{ProvId, ProvTable};
 use crate::scc::{tarjan, SccStats};
-use crate::solset::SolSetKind;
 use crate::stats::Stats;
 use bane_util::FxHashSet;
 use std::collections::VecDeque;
@@ -106,13 +105,6 @@ pub struct SolverConfig {
     /// oracle partition afterwards (small overhead; off by default except in
     /// the `if_online` preset which feeds the oracle runs).
     pub log_varvar: bool,
-    /// Solution-set backend for the least-solution pass (DESIGN.md §4f).
-    ///
-    /// The default, [`SolSetKind::SortedSpan`], runs the legacy
-    /// byte-identical arena pass; the other backends route
-    /// [`Solver::least_solution`] through the difference-propagating
-    /// [`LsKernel`](crate::solset::LsKernel) retained on the solver.
-    pub solset: SolSetKind,
 }
 
 impl SolverConfig {
@@ -124,7 +116,6 @@ impl SolverConfig {
             sf_chain: SfSearchPolicy::Decreasing,
             order: OrderPolicy::default(),
             log_varvar: false,
-            solset: SolSetKind::SortedSpan,
         }
     }
 
@@ -166,12 +157,6 @@ impl SolverConfig {
     /// Replaces the SF chain-search policy.
     pub fn with_sf_chain(mut self, policy: SfSearchPolicy) -> Self {
         self.sf_chain = policy;
-        self
-    }
-
-    /// Replaces the solution-set backend.
-    pub fn with_solset(mut self, solset: SolSetKind) -> Self {
-        self.solset = solset;
         self
     }
 }
@@ -278,13 +263,6 @@ pub struct Solver {
     /// Frozen CSR view of the solved graph, rebuilt by each least-solution
     /// pass; kept on the solver so repeated passes reuse its buffers.
     csr: crate::least::CsrSnapshot,
-    /// The retained least-solution kernel for non-default solution-set
-    /// backends (`None` until the first backend pass; always `None` under
-    /// the default `SolSetKind::SortedSpan`, which runs the legacy pass).
-    /// Keeping it across passes is what makes difference propagation work:
-    /// the kernel holds every variable's stable set plus the previous
-    /// pass's row snapshot.
-    ls_kernel: Option<Box<crate::solset::KernelHolder>>,
     stats: Stats,
     errors: Vec<Inconsistency>,
     one_term: TermId,
@@ -382,7 +360,6 @@ impl Solver {
             members_buf: Vec::new(),
             cycle_sweep: CycleSweep::default(),
             csr: crate::least::CsrSnapshot::new(),
-            ls_kernel: None,
             stats: Stats::default(),
             errors: Vec::new(),
             one_term,
@@ -921,9 +898,8 @@ impl Solver {
     /// One offline elimination pass: Tarjan over the current canonical
     /// variable-variable edges, collapsing every non-trivial SCC.
     ///
-    /// The read-only half lives in [`CycleSweep`] (shared with `bane-par`'s
-    /// batch-boundary sweeps); this drives it with the solver's own
-    /// [`collapse`](Solver::collapse).
+    /// The read-only half lives in [`CycleSweep`]; this drives it with the
+    /// solver's own [`collapse`](Solver::collapse).
     fn offline_collapse(&mut self) {
         #[cfg(feature = "obs")]
         self.obs_start(Phase::OfflinePass);
@@ -1496,11 +1472,11 @@ impl Solver {
 
     /// Borrows exactly the parts the least-solution pass reads.
     ///
-    /// This is the public hook `bane-par`'s level-parallel pass computes the
-    /// least solution through: the returned references are all `Sync`, so
-    /// scoped worker threads can read the graph, forwarding pointers, and
-    /// variable order concurrently while the solver stays put. Meaningful
-    /// after [`solve`](Solver::solve) has converged.
+    /// This is the hook the least-solution pass
+    /// ([`LeastPass`](crate::least::LeastPass)) reads the solved system
+    /// through, for [`least_solution`](Solver::least_solution) and for a
+    /// caller that keeps its own revalidated solution (`bane-serve`'s
+    /// sessions). Meaningful after [`solve`](Solver::solve) has converged.
     pub fn least_parts(&self) -> crate::least::LeastParts<'_> {
         crate::least::LeastParts {
             graph: &self.graph,
@@ -1533,12 +1509,6 @@ impl Solver {
     /// pass, and stale once the graph changes again.
     pub fn least_csr(&self) -> &crate::least::CsrSnapshot {
         &self.csr
-    }
-
-    /// The retained least-solution kernel slot for non-default solution-set
-    /// backends (loaned out the same way as the CSR snapshot).
-    pub(crate) fn ls_kernel_slot(&mut self) -> &mut Option<Box<crate::solset::KernelHolder>> {
-        &mut self.ls_kernel
     }
 
     /// Number of variable nodes ever created (including collapsed ones).
@@ -2157,8 +2127,8 @@ mod memo_tests {
     /// search is immediately followed by an insert or a collapse — both
     /// revision bumps). This test pins that structural property: across a
     /// collapse-heavy run every memo probe is a miss, so the memo is pure
-    /// bookkeeping here and the hits the BENCH_5 table reports come from
-    /// `bane-par`'s frozen scan phase. If this ever starts failing with
+    /// bookkeeping here and the hits the BENCH_5 table reports came from
+    /// the since-deleted frontier engine's frozen scan phase. If this ever starts failing with
     /// hits > 0, the revision invalidation — not this test — is the thing
     /// to re-audit (a sequential hit would mean a search repeated with *no*
     /// intervening insert or collapse).

@@ -118,50 +118,29 @@ fn steady_state_resolution_does_not_allocate() {
         "steady-state resolution allocated {allocations} times over {work_done} work units"
     );
 
-    // The same guarantee extends to bane-par's level-parallel least pass on
-    // its single-threaded path (the multi-threaded path necessarily
-    // allocates for thread spawning and lock guards): after warm-up runs
-    // have grown the level index, the per-worker scratch, and the output
-    // arenas, re-evaluating the same solved graph allocates nothing. Two
-    // warm-ups, not one: the merge scratch is a ping-pong buffer pair, and
-    // when a run performs an odd number of swaps the pair starts the next
-    // run with capacities exchanged — after two runs both buffers have
-    // served both roles and are at their maximum size.
-    let mut par = bane_par::ParLeast::new();
-    par.run(&solver.least_parts(), 1, None);
-    par.run(&solver.least_parts(), 1, None);
+    // The same guarantee extends to the revalidating least pass: after
+    // warm-up runs have grown the layout, level and flag scratch and both
+    // of the double-buffered solutions and CSRs, re-evaluating the same
+    // solved graph against its own baseline allocates nothing. Two
+    // warm-ups, not one: the solution and CSR buffers alternate between
+    // the live and the baseline slot, so each pair is written once before
+    // both are at their final size.
+    let mut rv = bane_core::least::Revalidator::new();
+    rv.run(&solver.least_parts());
+    rv.run(&solver.least_parts());
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    par.run(&solver.least_parts(), 1, None);
+    let outcome = rv.run(&solver.least_parts());
     COUNTING.store(false, Ordering::SeqCst);
-    let par_allocations = ALLOCATIONS.load(Ordering::SeqCst);
+    let ls_allocations = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
-        par_allocations, 0,
-        "steady-state parallel least pass allocated {par_allocations} times"
+        ls_allocations, 0,
+        "steady-state revalidating least pass allocated {ls_allocations} times"
     );
+    assert_eq!(outcome.dirty_vars, 0, "an unchanged system is all clean");
     assert_eq!(
-        par.solution(),
-        solver.least_solution(),
-        "parallel least pass must stay byte-identical to the sequential one"
-    );
-
-    // Difference propagation holds the same bar: over an unchanged system a
-    // warmed diff run finds every delta empty, touches no spans, and must
-    // not allocate (one warm-up run first to grow the incremental scratch —
-    // the source-delta, input-run, and contribution buffers).
-    par.run_with(&solver.least_parts(), 1, SolSetKind::SortedSpan, true, None);
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    par.run_with(&solver.least_parts(), 1, SolSetKind::SortedSpan, true, None);
-    COUNTING.store(false, Ordering::SeqCst);
-    let diff_allocations = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        diff_allocations, 0,
-        "steady-state diff least pass allocated {diff_allocations} times"
-    );
-    assert_eq!(
-        par.solution(),
-        solver.least_solution(),
-        "diff least pass must stay byte-identical to the sequential one"
+        rv.solution(),
+        Some(&solver.least_solution()),
+        "the revalidated solution must stay byte-identical to the cold pass"
     );
 }

@@ -1,30 +1,30 @@
-//! The level-parallel least solution's contract: [`ParLeast`] output is
-//! byte-identical to the sequential `Solver::least_solution` at every
-//! thread count.
+//! The least-solution pass's contract: a [`Revalidator`] run against the
+//! previous run's baseline is byte-identical to the cold
+//! `Solver::least_solution` pass, however the system changed in between.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
-//! - property tests over randomized synthetic constraint systems (chains,
-//!   cycles, term structure, sources, sinks) in every form and
-//!   cycle-elimination mode, including `CycleElim::Periodic`. Each system
-//!   is fed to the solver in batches of `K` constraints with a solve after
-//!   every batch; after each one, `ParLeast` at 1, 2, 4 and 8 threads —
-//!   from scratch and by difference propagation across batches — must be
-//!   byte-identical to the sequential pass. A second test checks that the
-//!   batched runs agree *semantically* with one-shot sequential solving
-//!   (the collapse schedule legitimately differs, so representatives may
-//!   differ, but resolved sets and inconsistency sets must not);
+//! - tests over randomized synthetic constraint systems (chains, cycles,
+//!   term structure, sources, sinks) in every form and cycle-elimination
+//!   mode, including `CycleElim::Periodic`. Each system is fed to the
+//!   solver in batches of `K` constraints with a solve after every batch;
+//!   after each one, a revalidator carrying its baseline across batches
+//!   must be byte-identical to the cold pass. A second test checks that the
+//!   batched runs agree *semantically* with one-shot solving (the collapse
+//!   schedule legitimately differs, so representatives may differ, but
+//!   resolved sets and inconsistency sets must not);
+//! - a property test over random grow/remove histories, where removals
+//!   rebuild a fresh solver the way `bane-serve`'s replay does;
 //! - golden runs on the paper-suite `povray-2.2` stand-in program through
 //!   the real Andersen front end, checking the CSR snapshot the pass reads
 //!   and the pass's output.
 
+use bane_core::least::Revalidator;
 use bane_core::prelude::*;
-use bane_par::{least_solution, ParLeast};
 use bane_points_to::andersen;
 use bane_synth::suite::{suite_program, PAPER_SUITE};
 use bane_util::SplitMix64;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+use proptest::prelude::*;
 /// Constraints per solve; `usize::MAX` emits the whole system at once.
 const BATCH_SIZES: [usize; 3] = [8, 64, usize::MAX];
 
@@ -145,30 +145,26 @@ fn property_configs() -> [SolverConfig; 6] {
 }
 
 #[test]
-fn synthetic_systems_reproduce_at_every_thread_count_and_batch_size() {
-    let mut fresh = ParLeast::new();
+fn synthetic_systems_revalidate_byte_identically_at_every_batch_size() {
     for config in property_configs() {
         for seed in 0..5u64 {
             let sys = SynthSystem::new(seed);
             for &batch in &BATCH_SIZES {
-                // One difference-propagating evaluator per thread count, each
-                // carrying its own baseline from one batch to the next.
-                let mut diffs: Vec<ParLeast> = THREADS.iter().map(|_| ParLeast::new()).collect();
+                // One revalidator per batch size, carrying its baseline
+                // from one batch to the next.
+                let mut rv = Revalidator::new();
                 let mut solves = 0;
                 sys.solve_batched(config, batch, |solver| {
                     solves += 1;
-                    let seq = solver.least_solution();
-                    let parts = solver.least_parts();
-                    for (&threads, diff) in THREADS.iter().zip(&mut diffs) {
-                        let label = format!(
-                            "{config:?} seed {seed} K={batch} solve {solves}: \
-                             {threads}-thread least solution not byte-identical"
-                        );
-                        fresh.run(&parts, threads, None);
-                        assert_eq!(fresh.solution(), seq, "{label} (from scratch)");
-                        diff.run_with(&parts, threads, SolSetKind::SortedSpan, true, None);
-                        assert_eq!(diff.solution(), seq, "{label} (difference propagation)");
-                    }
+                    let cold = solver.least_solution();
+                    rv.run(&solver.least_parts());
+                    assert_eq!(
+                        rv.solution(),
+                        Some(&cold),
+                        "{config:?} seed {seed} K={batch} solve {solves}: \
+                         revalidated least solution not byte-identical"
+                    );
+                    assert_eq!(rv.csr().raw_parts(), solver.least_csr().raw_parts());
                 });
                 assert!(solves > 0, "every batch size solves at least once");
             }
@@ -194,20 +190,20 @@ fn synthetic_systems_agree_semantically_with_sequential_solver() {
             seq_errors.sort_by_key(error_key);
             seq_errors.dedup();
 
-            let mut par = ParLeast::new();
+            let mut rv = Revalidator::new();
             let batched = sys.solve_batched(config, 8, |solver| {
-                par.run_with(&solver.least_parts(), 4, SolSetKind::SortedSpan, true, None);
+                rv.run(&solver.least_parts());
             });
             assert_eq!(batched.graph_len(), n, "{config:?} seed {seed}: variable count");
             let mut batched_errors = batched.inconsistencies().to_vec();
             batched_errors.sort_by_key(error_key);
             batched_errors.dedup();
             assert_eq!(batched_errors, seq_errors, "{config:?} seed {seed}: inconsistency sets");
-            let par_ls = par.solution();
+            let batched_ls = rv.solution().expect("at least one batch");
             for i in 0..n {
                 let v = Var::new(i);
                 assert_eq!(
-                    par_ls.get(v),
+                    batched_ls.get(v),
                     seq_ls.get(v),
                     "{config:?} seed {seed}: LS(v{i}) diverged from one-shot sequential"
                 );
@@ -279,18 +275,106 @@ fn csr_snapshot_matches_adjacency_on_povray_standin() {
 }
 
 #[test]
-fn parallel_least_solution_is_byte_identical_on_povray_standin() {
+fn revalidated_least_solution_is_byte_identical_on_povray_standin() {
     let mut solver = povray_solver();
     solver.solve();
-    let seq = solver.least_solution();
-    let mut par = ParLeast::new();
-    for &threads in &THREADS {
-        par.run(&solver.least_parts(), threads, None);
-        assert_eq!(
-            par.solution(),
-            seq,
-            "povray stand-in: {threads}-thread least solution not byte-identical"
-        );
-        assert_eq!(least_solution(&solver, threads), seq);
+    let cold = solver.least_solution();
+    let mut rv = Revalidator::new();
+    let first = rv.run(&solver.least_parts());
+    assert_eq!(rv.solution(), Some(&cold), "povray stand-in: cold run");
+    assert_eq!(first.reused_vars, 0);
+    let again = rv.run(&solver.least_parts());
+    assert_eq!(rv.solution(), Some(&cold), "povray stand-in: baseline run");
+    assert_eq!((again.dirty_vars, again.reused_vars), (0, first.dirty_vars));
+    assert_eq!(again.total_levels, first.total_levels);
+}
+
+/// One step of a random edit history over a fixed variable set: grow the
+/// live system by some constraints, or remove some and re-solve from
+/// scratch.
+#[derive(Clone, Debug)]
+enum Edit {
+    Grow(Vec<(usize, usize)>),
+    Remove(Vec<usize>),
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over random grow/remove histories, in both forms, the pass with a
+    /// baseline is byte-identical to the cold pass after every step, and
+    /// so is the CSR it froze.
+    #[test]
+    fn baseline_pass_is_byte_identical_to_cold_pass(seed in 0u64..1_000_000, steps in 2usize..10) {
+        let mut rng = SplitMix64::new(seed);
+        let n = 40usize;
+        let edits: Vec<Edit> = (0..steps)
+            .map(|_| {
+                if rng.next_bool(0.4) {
+                    Edit::Remove((0..3).map(|_| rng.next_below(1 << 16) as usize).collect())
+                } else {
+                    let k = 1 + rng.next_below(12) as usize;
+                    Edit::Grow(
+                        (0..k)
+                            .map(|_| (rng.next_below(n as u64 + 4) as usize, rng.next_below(n as u64) as usize))
+                            .collect(),
+                    )
+                }
+            })
+            .collect();
+        for config in [SolverConfig::if_online(), SolverConfig::sf_online(), SolverConfig::if_plain()] {
+            // Constraint `(a, b)`: `a ⊆ b` over variables, or source
+            // `c(a - n)` into `b` when `a >= n`.
+            let build = |live: &[(usize, usize)]| {
+                let mut s = Solver::new(config);
+                let vs: Vec<Var> = (0..n).map(|_| s.fresh_var()).collect();
+                let ts: Vec<TermId> = (0..4)
+                    .map(|k| {
+                        let c = s.register_nullary(format!("c{k}"));
+                        s.term(c, vec![])
+                    })
+                    .collect();
+                let add = move |s: &mut Solver, (a, b): (usize, usize)| {
+                    if a < n {
+                        s.add(vs[a], vs[b]);
+                    } else {
+                        s.add(ts[a - n], vs[b]);
+                    }
+                };
+                for &c in live {
+                    add(&mut s, c);
+                }
+                s.solve();
+                (s, add)
+            };
+            let mut live: Vec<(usize, usize)> = Vec::new();
+            let (mut solver, mut add) = build(&live);
+            let mut rv = Revalidator::new();
+            rv.run(&solver.least_parts());
+            for (step, edit) in edits.iter().enumerate() {
+                match edit {
+                    Edit::Grow(cs) => {
+                        for &c in cs {
+                            live.push(c);
+                            add(&mut solver, c);
+                        }
+                        solver.solve();
+                    }
+                    Edit::Remove(picks) => {
+                        for &p in picks {
+                            if !live.is_empty() {
+                                live.remove(p % live.len());
+                            }
+                        }
+                        (solver, add) = build(&live);
+                    }
+                }
+                let outcome = rv.run(&solver.least_parts());
+                let cold = solver.least_solution();
+                prop_assert_eq!(rv.solution(), Some(&cold), "{:?} step {}", config, step);
+                prop_assert_eq!(rv.csr().raw_parts(), solver.least_csr().raw_parts());
+                prop_assert!(outcome.dirty_levels <= outcome.total_levels);
+            }
+        }
     }
 }

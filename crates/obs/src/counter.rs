@@ -104,97 +104,70 @@ pub enum Counter {
     /// CSR snapshots built for the least-solution kernel.
     CsrBuilds = 27,
 
-    // -- difference propagation (DESIGN.md §4f) ---------------------------
-    /// Least-solution variables evaluated by a full merge (first visit, or
-    /// difference propagation off).
-    LsDeltaFull = 28,
-    /// Least-solution variables evaluated incrementally from predecessor
-    /// deltas.
-    LsDeltaIncr = 29,
-    /// Elements fed into incremental merges (the traffic difference
-    /// propagation still pays for).
-    LsDeltaIn = 30,
-    /// Elements those merges actually added; `in - fresh` is the redundant
-    /// traffic that difference propagation exposes.
-    LsDeltaFresh = 31,
-
-    // -- solution-set backends (DESIGN.md §4f) ----------------------------
-    /// Distinct 256-bit payload blocks interned by the bitmap/hybrid
-    /// backends' shared arena.
-    SolsetBlocks = 32,
-    /// Interns answered by an existing block (payloads physically shared
-    /// across variables).
-    SolsetBlocksShared = 33,
-    /// Hybrid rows promoted from sorted-span to bitmap past the density
-    /// threshold.
-    SolsetPromotions = 34,
-    /// Approximate heap bytes held by the active backend's set storage.
-    SolsetBytes = 35,
-
     // -- snapshot serving (bane-snap, docs/SERVING.md) --------------------
     /// Bytes written by the on-disk snapshot writer (file size including
     /// header and padding).
-    SnapBytesWritten = 36,
+    SnapBytesWritten = 28,
     /// Snapshot files loaded into a `QueryIndex`.
-    SnapLoads = 37,
+    SnapLoads = 29,
     /// Bytes mapped (or copied into the owned-buffer fallback) by loads.
-    SnapBytesMapped = 38,
+    SnapBytesMapped = 30,
     /// Queries answered by `QueryIndex` (only counted when a recorder is
     /// attached to the instrumented entry points; the lock-free hot path
     /// itself is uninstrumented).
-    SnapQueries = 39,
+    SnapQueries = 31,
 
     // -- incremental serving (bane-serve, docs/INCREMENTAL.md) ------------
     /// `Delta` batches applied to a live `Session`.
-    ServeDeltaApplied = 40,
+    ServeDeltaApplied = 32,
     /// Deltas taken through the monotone fast path (constraints fed into
     /// the live solver; prior sets reused as lower bounds).
-    ServeDeltaMonotone = 41,
+    ServeDeltaMonotone = 33,
     /// Deltas that removed constraints and fell back to replaying the
     /// canonical constraint sequence into a fresh solver.
-    ServeDeltaReplayed = 42,
+    ServeDeltaReplayed = 34,
     /// SCC condensation levels containing at least one dirty variable in
     /// the most recent re-solve (gauge; compare against the level total).
-    ServeDirtyLevels = 43,
+    ServeDirtyLevels = 35,
     /// Variables whose least-solution span was recomputed in the most
     /// recent re-solve (gauge).
-    ServeDirtyVars = 44,
+    ServeDirtyVars = 36,
     /// Variables whose retained least-solution span was reused verbatim
     /// across a `Delta` application.
-    ServeReuseHit = 45,
+    ServeReuseHit = 37,
 
     // -- fleet serving (bane-serve ShardManager, docs/SERVING.md) ---------
     /// Per-shard deltas dispatched by the fleet router (one per shard a
     /// batch actually touched).
-    FleetDeltaRouted = 46,
+    FleetDeltaRouted = 38,
     /// Variable creations replicated across the fleet by the `AddVars`
     /// fan-out (`n` requested vars on an `S`-shard fleet count `n * S`).
-    FleetVarsFanout = 47,
+    FleetVarsFanout = 39,
     /// Delta batches rejected atomically at the shard boundary (a group
     /// straddled owner classes, moved owners, or named a dead group).
-    FleetRejectCrossShard = 48,
+    FleetRejectCrossShard = 40,
     /// Per-shard snapshots republished into a `SnapshotHub`.
-    FleetPublish = 49,
+    FleetPublish = 41,
 
     // -- provenance fast-apply (bane-serve ApplyMode::Fast) ---------------
     /// Non-monotone deltas repaired in place by the provenance fast path
     /// (retraction + semi-naive refire, no replay).
-    ServeFastRepaired = 50,
+    ServeFastRepaired = 42,
     /// Non-monotone deltas on a Fast session that invalidated a recorded
     /// cycle collapse and fell back to canonical replay.
-    ServeFastFallback = 51,
+    ServeFastFallback = 43,
     /// Graph edges removed by provenance retraction across fast repairs.
-    ServeFastRetractedEdges = 52,
+    ServeFastRetractedEdges = 44,
     /// Smallest per-shard live-constraint count across the fleet (gauge;
     /// refreshed by `ShardManager` after every routed batch).
-    FleetBalanceMin = 53,
+    FleetBalanceMin = 45,
     /// Largest per-shard live-constraint count across the fleet (gauge).
-    FleetBalanceMax = 54,
+    FleetBalanceMax = 46,
 }
 
 impl Counter {
     /// Number of registered counters.
-    pub const COUNT: usize = 55;
+    pub const COUNT: usize = 47;
 
     /// Every counter, in canonical report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -226,14 +199,6 @@ impl Counter {
         Counter::SearchMemoMiss,
         Counter::EpochResets,
         Counter::CsrBuilds,
-        Counter::LsDeltaFull,
-        Counter::LsDeltaIncr,
-        Counter::LsDeltaIn,
-        Counter::LsDeltaFresh,
-        Counter::SolsetBlocks,
-        Counter::SolsetBlocksShared,
-        Counter::SolsetPromotions,
-        Counter::SolsetBytes,
         Counter::SnapBytesWritten,
         Counter::SnapLoads,
         Counter::SnapBytesMapped,
@@ -286,14 +251,6 @@ impl Counter {
             Counter::SearchMemoMiss => "search.memo.miss",
             Counter::EpochResets => "epoch.resets",
             Counter::CsrBuilds => "csr.build",
-            Counter::LsDeltaFull => "ls.delta.full",
-            Counter::LsDeltaIncr => "ls.delta.incr",
-            Counter::LsDeltaIn => "ls.delta.in",
-            Counter::LsDeltaFresh => "ls.delta.fresh",
-            Counter::SolsetBlocks => "solset.blocks",
-            Counter::SolsetBlocksShared => "solset.blocks-shared",
-            Counter::SolsetPromotions => "solset.promotions",
-            Counter::SolsetBytes => "solset.bytes",
             Counter::SnapBytesWritten => "snap.bytes-written",
             Counter::SnapLoads => "snap.loads",
             Counter::SnapBytesMapped => "snap.bytes-mapped",

@@ -55,11 +55,11 @@ pub enum Phase {
     OraclePartition = 6,
     /// The least-solution pass (Section 2.4, equation (1)).
     LeastSolution = 7,
-    /// The SCC-level-parallel least-solution pass (`bane-par`,
-    /// docs/PARALLELISM.md).
-    ParLeast = 8,
+    /// A session's least-solution revalidation after a commit (`bane-serve`,
+    /// docs/INCREMENTAL.md), recorded on the session's recorder.
+    Revalidate = 8,
     /// Freezing the post-closure graph into the CSR least-solution snapshot
-    /// (DESIGN.md §4e). Nested inside `LeastSolution`/`ParLeast`.
+    /// (DESIGN.md §4e). Nested inside `LeastSolution`/`Revalidate`.
     CsrBuild = 9,
     /// Loading an on-disk snapshot into a read-only `QueryIndex`
     /// (`bane-snap`, docs/SERVING.md): open, map/read, validate, checksum.
@@ -84,7 +84,7 @@ impl Phase {
         Phase::OfflinePass,
         Phase::OraclePartition,
         Phase::LeastSolution,
-        Phase::ParLeast,
+        Phase::Revalidate,
         Phase::CsrBuild,
         Phase::SnapLoad,
         Phase::ServeApply,
@@ -101,7 +101,7 @@ impl Phase {
             Phase::OfflinePass => "offline-pass",
             Phase::OraclePartition => "oracle-partition",
             Phase::LeastSolution => "least-solution",
-            Phase::ParLeast => "par-least",
+            Phase::Revalidate => "revalidate",
             Phase::CsrBuild => "csr-build",
             Phase::SnapLoad => "snap-load",
             Phase::ServeApply => "serve-apply",

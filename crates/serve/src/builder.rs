@@ -8,11 +8,7 @@
 //! builder centralizes every knob:
 //!
 //! - the [`SolverConfig`] (form, ordering, constraint-graph options), with
-//!   shortcuts for the two knobs serving deployments actually vary —
-//!   the [solution-set backend](SessionBuilder::solset) and the
-//!   [cycle-elimination policy](SessionBuilder::cycle_elim);
-//! - the [revalidation worker count](SessionBuilder::threads) (never
-//!   changes an observable — only wall time);
+//!   a shortcut for the [cycle-elimination policy](SessionBuilder::cycle_elim);
 //! - the [observability gate](SessionBuilder::obs);
 //! - the [re-solve tier](SessionBuilder::apply_mode): [`ApplyMode::Exact`]
 //!   replays non-monotone deltas for byte-identical observables,
@@ -30,13 +26,11 @@
 //! use bane_core::prelude::*;
 //! use bane_serve::SessionBuilder;
 //!
-//! let mut session = SessionBuilder::new()
-//!     .solset(SolSetKind::Hybrid)
-//!     .threads(4)
+//! let session = SessionBuilder::new()
+//!     .cycle_elim(CycleElim::Off)
 //!     .obs(true)
 //!     .build();
-//! assert_eq!(session.threads(), 4);
-//! assert_eq!(session.solset(), SolSetKind::Hybrid);
+//! assert_eq!(session.solver().config().cycle_elim, CycleElim::Off);
 //! assert!(session.recorder().is_some());
 //! ```
 
@@ -53,7 +47,6 @@ use crate::session::{ApplyMode, Session};
 #[derive(Clone, Copy, Debug)]
 pub struct SessionBuilder {
     config: SolverConfig,
-    threads: usize,
     obs: bool,
     mode: ApplyMode,
 }
@@ -65,12 +58,10 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// The default recipe: [`SolverConfig::if_online`], 1 revalidation
-    /// worker, observability off.
+    /// The default recipe: [`SolverConfig::if_online`], observability off.
     pub fn new() -> Self {
         SessionBuilder {
             config: SolverConfig::if_online(),
-            threads: 1,
             obs: false,
             mode: ApplyMode::Exact,
         }
@@ -82,22 +73,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the solution-set backend.
-    pub fn solset(mut self, kind: SolSetKind) -> Self {
-        self.config = self.config.with_solset(kind);
-        self
-    }
-
     /// Selects the cycle-elimination policy.
     pub fn cycle_elim(mut self, policy: CycleElim) -> Self {
         self.config.cycle_elim = policy;
-        self
-    }
-
-    /// Sets the least-solution revalidation worker count (clamped to at
-    /// least 1). Thread count never changes any observable.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -137,7 +115,7 @@ impl SessionBuilder {
     /// becomes the session's, and its recorded constraints become one
     /// group, solved immediately. The *problem's* [`SolverConfig`] is
     /// authoritative (it already shaped the recording); the builder
-    /// contributes threads, batch depth, and the obs gate.
+    /// contributes the apply mode and the obs gate.
     pub fn build_from_problem(&self, problem: Problem) -> Session {
         self.build_grouped(problem, 1)
     }
@@ -150,14 +128,13 @@ impl SessionBuilder {
     ///
     /// Panics if `n_groups == 0` while the problem has constraints.
     pub fn build_grouped(&self, problem: Problem, n_groups: usize) -> Session {
-        let mut session = Session::adopt_grouped(problem, n_groups, self.threads, self.mode);
+        let mut session = Session::adopt_grouped(problem, n_groups, self.mode);
         self.finish(&mut session);
         session
     }
 
     /// Applies the post-construction knobs shared by every build path.
     fn finish(&self, session: &mut Session) {
-        session.set_threads(self.threads);
         if self.obs {
             session.enable_obs();
         }
@@ -172,29 +149,24 @@ mod tests {
     #[test]
     fn build_applies_every_knob() {
         let b = SessionBuilder::new()
-            .solset(SolSetKind::Bitmap)
+            .config(SolverConfig::sf_online())
             .cycle_elim(CycleElim::Off)
-            .threads(8)
+            .apply_mode(ApplyMode::Fast)
             .obs(true);
         let s = b.build();
-        assert_eq!(s.solset(), SolSetKind::Bitmap);
+        assert_eq!(s.solver().config().form, Form::Standard);
         assert_eq!(s.solver().config().cycle_elim, CycleElim::Off);
-        assert_eq!(s.threads(), 8);
+        assert_eq!(s.apply_mode(), ApplyMode::Fast);
         assert!(s.recorder().is_some());
         // The builder is a reusable recipe: a second build is independent.
         let s2 = b.build();
-        assert_eq!(s2.threads(), 8);
-    }
-
-    #[test]
-    fn clamps_zero_knobs() {
-        let s = SessionBuilder::new().threads(0).build();
-        assert_eq!(s.threads(), 1);
+        assert_eq!(s2.solver().config().cycle_elim, CycleElim::Off);
+        assert!(s2.recorder().is_some());
     }
 
     #[test]
     fn grouped_build_matches_problem_config_and_solves() {
-        let mut p = Problem::new(SolverConfig::if_online().with_solset(SolSetKind::Hybrid));
+        let mut p = Problem::new(SolverConfig::sf_online());
         let c = p.register_nullary("c");
         let src = p.term(c, vec![]);
         let vars: Vec<Var> = (0..8).map(|_| p.fresh_var()).collect();
@@ -203,8 +175,8 @@ mod tests {
             p.add(w[0], w[1]);
         }
         // The builder's own config differs; the problem's must win.
-        let mut s = SessionBuilder::new().solset(SolSetKind::SortedSpan).build_grouped(p, 3);
-        assert_eq!(s.solset(), SolSetKind::Hybrid);
+        let mut s = SessionBuilder::new().build_grouped(p, 3);
+        assert_eq!(s.solver().config().form, Form::Standard);
         assert_eq!(s.group_slots(), 3);
         assert_eq!(s.points_to(vars[7]), &[src]);
     }

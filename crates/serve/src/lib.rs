@@ -8,19 +8,18 @@
 //!
 //! - `bane-core`'s **graph revision** (`GraphRevision::validates`): cheap
 //!   proof that solved state is still exact across an edit;
-//! - `bane-par`'s **revalidating least-solution kernel**
-//!   (`ParLeast::run_revalidate`): per-condensation-level recomputation of
-//!   only the variables an edit actually dirtied, with every clean
-//!   variable's retained set reused byte-for-byte.
+//! - `bane-core`'s **revalidating least-solution pass**
+//!   (`bane_core::least::Revalidator`): recomputation of only the variables
+//!   an edit actually dirtied, with every clean variable's previous set
+//!   copied byte-for-byte.
 //!
 //! Five modules:
 //!
 //! - [`delta`]: the edit language — constraint **groups** (the unit of
 //!   re-parse), added, removed, or rewritten by a [`Delta`] batch;
 //! - [`builder`]: the [`SessionBuilder`], the one construction path for
-//!   sessions — every knob (solution-set backend, cycle elimination,
-//!   worker threads, batch depth, observability gate) in one reusable
-//!   recipe;
+//!   sessions — every knob (solver configuration, cycle elimination,
+//!   apply mode, observability gate) in one reusable recipe;
 //! - [`session`]: the long-lived [`Session`] — solved state plus
 //!   [`Session::apply`], with the monotone fast path vs canonical-replay
 //!   split and the byte-identity contract documented there;
@@ -76,4 +75,5 @@ pub use fleet::{FleetError, FleetReport, ShardManager};
 pub use proto::{
     parse_request, read_frame, serve, serve_fleet, write_frame, Request, Response, PROTO_VERSION,
 };
+pub use bane_core::least::RevalidateOutcome;
 pub use session::{ApplyMode, ApplyReport, Session};

@@ -18,12 +18,11 @@
 //!   session.
 //! - **Least-solution revalidation** for both paths. Whatever produced the
 //!   solved graph, the expensive part of serving is evaluating equation (1)
-//!   over it. [`ParLeast::run_revalidate`] compares the new canonical CSR
-//!   rows against the retained baseline and recomputes only variables whose
+//!   over it. The session's [`Revalidator`] compares the new canonical CSR
+//!   rows against the previous commit's and recomputes only variables whose
 //!   sources, predecessors, representative status, or (transitively) any
-//!   predecessor changed — per condensation level, never whole-graph. Clean
-//!   variables reuse their retained arena spans verbatim, which is where the
-//!   `serve.reuse.hit` wins come from.
+//!   predecessor changed. Clean variables copy their previous spans
+//!   verbatim, which is where the `serve.reuse.hit` wins come from.
 //!
 //! The net equivalence contract of [`Session::apply`]:
 //!
@@ -47,11 +46,9 @@
 
 use bane_core::cycle::GraphRevision;
 use bane_core::graph::GraphCensus;
-use bane_core::least::LeastSolution;
+use bane_core::least::{LeastSolution, RevalidateOutcome, Revalidator};
 use bane_core::prelude::*;
-use bane_core::solset::SolSetKind;
 use bane_obs::{Counter, Phase, Recorder};
-use bane_par::{ParLeast, RevalidateOutcome};
 use bane_util::idx::Idx;
 use bane_util::{FxHashMap, FxHashSet};
 
@@ -228,10 +225,9 @@ pub struct Session {
     /// groups in slot order.
     groups: Vec<Option<LiveGroup>>,
     solver: Solver,
-    par: ParLeast,
-    threads: usize,
-    kind: SolSetKind,
-    ls: Option<LeastSolution>,
+    /// The least solution and CSR of the last commit, and the pass that
+    /// revalidates them against the next one.
+    least: Revalidator,
     revision: Option<GraphRevision>,
     last_outcome: RevalidateOutcome,
     rec: Option<Recorder>,
@@ -243,12 +239,8 @@ pub struct Session {
 impl Session {
     /// An empty session under `config`: the [`SessionBuilder::build`] body.
     ///
-    /// The least-solution backend is taken from `config.solset`; the worker
-    /// count defaults to 1 (see [`set_threads`](Session::set_threads)).
-    ///
     /// [`SessionBuilder::build`]: crate::SessionBuilder::build
     pub(crate) fn empty(config: SolverConfig, mode: ApplyMode) -> Self {
-        let kind = config.solset;
         let mut solver = Solver::new(config);
         if mode == ApplyMode::Fast {
             solver.enable_provenance();
@@ -257,10 +249,7 @@ impl Session {
             problem: Problem::new(config),
             groups: Vec::new(),
             solver,
-            par: ParLeast::new(),
-            threads: 1,
-            kind,
-            ls: None,
+            least: Revalidator::new(),
             revision: None,
             last_outcome: RevalidateOutcome::default(),
             rec: None,
@@ -270,18 +259,11 @@ impl Session {
 
     /// The [`SessionBuilder::build_grouped`] body: adopt `problem`'s
     /// recording, split its constraints into `n_groups` contiguous groups,
-    /// and solve the result with `threads` revalidation workers.
+    /// and solve the result.
     ///
     /// [`SessionBuilder::build_grouped`]: crate::SessionBuilder::build_grouped
-    pub(crate) fn adopt_grouped(
-        mut problem: Problem,
-        n_groups: usize,
-        threads: usize,
-        mode: ApplyMode,
-    ) -> Self {
+    pub(crate) fn adopt_grouped(mut problem: Problem, n_groups: usize, mode: ApplyMode) -> Self {
         let constraints = problem.split_off_constraints(0);
-        let config = *problem.config();
-        let kind = config.solset;
         // The problem's constraint list was just split off, so the adopted
         // solver replays registrations only — provenance can still attach.
         let mut solver = Solver::from_problem(problem.clone());
@@ -292,10 +274,7 @@ impl Session {
             solver,
             problem,
             groups: Vec::new(),
-            par: ParLeast::new(),
-            threads: threads.max(1),
-            kind,
-            ls: None,
+            least: Revalidator::new(),
             revision: None,
             last_outcome: RevalidateOutcome::default(),
             rec: None,
@@ -331,23 +310,6 @@ impl Session {
         self.rec.as_ref()
     }
 
-    /// Sets the worker count for least-solution revalidation (clamped to at
-    /// least 1). Thread count never changes any observable — only wall
-    /// time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker count used for revalidation.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The solution-set backend in use.
-    pub fn solset(&self) -> SolSetKind {
-        self.kind
-    }
-
     /// Number of group slots ever created (including removed ones).
     pub fn group_slots(&self) -> usize {
         self.groups.len()
@@ -364,8 +326,8 @@ impl Session {
     /// Monotone batches feed the live solver and re-run closure from the
     /// current graph; non-monotone batches rebuild a fresh solver from the
     /// canonical sequence (see the [module docs](self) for why). Both paths
-    /// then revalidate the least solution against the retained baseline,
-    /// recomputing only dirty condensation levels.
+    /// then revalidate the least solution against the previous commit's,
+    /// recomputing only dirty variables.
     ///
     /// # Panics
     ///
@@ -505,7 +467,7 @@ impl Session {
     /// batches when they need full parity, not just equal sets.
     ///
     /// The least solution is revalidated, not recomputed: unchanged
-    /// variables still reuse their retained spans.
+    /// variables still copy their previous spans.
     pub fn reanchor(&mut self) -> RevalidateOutcome {
         self.replay();
         let outcome = self.revalidate(true);
@@ -583,10 +545,12 @@ impl Session {
     /// outside a batch moves no counter, and across a replay equal counters
     /// do not imply equal graphs — which is why a non-empty batch always
     /// revalidates.
+    ///
+    /// The pass is timed under the session recorder's `revalidate` phase,
+    /// with its CSR freeze also recorded as `csr-build`.
     fn revalidate(&mut self, changed: bool) -> RevalidateOutcome {
         let now = self.solver.graph_revision();
-        let covered = self.ls.as_ref().is_some_and(|ls| ls.len() == self.solver.graph_len());
-        if !changed && covered && self.revision.is_some_and(|prev| prev.validates(now)) {
+        if !changed && self.covered() && self.revision.is_some_and(|prev| prev.validates(now)) {
             // Same graph object, untouched since the last pass: the cached
             // solution is the solution.
             return RevalidateOutcome {
@@ -597,11 +561,29 @@ impl Session {
                 fell_back: false,
             };
         }
+        let t0 = self.rec.as_ref().map(|_| std::time::Instant::now());
         let parts = self.solver.least_parts();
-        let outcome = self.par.run_revalidate(&parts, self.threads, self.kind, self.rec.as_ref());
-        self.ls = Some(self.par.solution());
+        self.least.freeze(&parts);
+        if let (Some(rec), Some(t0)) = (&self.rec, t0) {
+            rec.record_ns(Phase::CsrBuild, t0.elapsed().as_nanos() as u64);
+            rec.add(Counter::CsrBuilds, 1);
+        }
+        let outcome = self.least.evaluate(parts.form);
+        if let (Some(rec), Some(t0)) = (&self.rec, t0) {
+            let ls = self.least.solution().expect("just evaluated");
+            let set_vars = ls.raw_parts().2.iter().filter(|(s, e)| e > s).count();
+            rec.set(Counter::LsSetVars, set_vars as u64);
+            rec.set(Counter::LsEntries, ls.total_entries() as u64);
+            rec.record_ns(Phase::Revalidate, t0.elapsed().as_nanos() as u64);
+        }
         self.revision = Some(now);
         outcome
+    }
+
+    /// Whether the last commit's solution covers every variable of the live
+    /// solver (variables created outside a batch are not yet covered).
+    fn covered(&self) -> bool {
+        self.least.solution().is_some_and(|ls| ls.len() == self.solver.graph_len())
     }
 
     /// Distinct canonical variables among `delta`'s constraint endpoints
@@ -633,14 +615,14 @@ impl Session {
     ///
     /// Panics if no [`apply`](Session::apply) has run yet.
     pub fn least_solution(&self) -> &LeastSolution {
-        self.ls.as_ref().expect("no delta applied yet")
+        self.least.solution().expect("no delta applied yet")
     }
 
     /// The points-to/solution set of `v` (canonicalized first). Empty when
     /// no delta has been applied.
     pub fn points_to(&mut self, v: Var) -> &[TermId] {
         let r = self.solver.find(v);
-        match &self.ls {
+        match self.least.solution() {
             Some(ls) => ls.get(r),
             None => &[],
         }
@@ -650,8 +632,8 @@ impl Session {
     /// `false` when no delta has been applied.
     pub fn alias(&mut self, a: Var, b: Var) -> bool {
         let (ra, rb) = (self.solver.find(a), self.solver.find(b));
-        self.ls
-            .as_ref()
+        self.least
+            .solution()
             .is_some_and(|ls| intersects(ls.get(ra), ls.get(rb)))
     }
 
@@ -692,12 +674,13 @@ impl Session {
         &self.solver
     }
 
-    /// Entries in the least-solution evaluator's working arena: the
-    /// session's memory for its solution beyond the copy it answers from.
-    /// Every revalidation ends by compacting it, so between commits it
-    /// equals `least_solution().total_entries()` however many commits ran.
+    /// Least-solution entries the session holds between commits, counting
+    /// the double-buffered pass's spare solution
+    /// ([`Revalidator::arena_entries`]). The spare is emptied after every
+    /// commit, so this equals `least_solution().total_entries()` however
+    /// many commits ran.
     pub fn ls_arena_entries(&self) -> usize {
-        self.par.arena_entries()
+        self.least.arena_entries()
     }
 
     /// The re-solve tier this session was built with.
@@ -726,10 +709,10 @@ impl Session {
     ///
     /// Propagates `bane-snap` encode/write errors.
     pub fn publish_snapshot(&mut self, path: &std::path::Path) -> Result<u64, bane_snap::SnapError> {
-        let image = match &self.ls {
-            Some(ls) if ls.len() == self.solver.graph_len() => bane_snap::encode_parts(
+        let image = match self.least.solution() {
+            Some(ls) if self.covered() => bane_snap::encode_parts(
                 self.solver.config().form,
-                self.par.csr(),
+                self.least.csr(),
                 ls,
                 self.solver.terms(),
                 self.solver.cons(),

@@ -3,13 +3,11 @@
 //! `points_to` and `alias` query identically to one unsharded [`Session`]
 //! fed the same script — and each shard's observables (stats, census,
 //! least-solution buffers) stay byte-identical to a reference session fed
-//! only that shard's canonical subsequence, at every thread count.
+//! only that shard's canonical subsequence.
 //!
 //! Scripts are generated with `partitions = 4`, so the same script routes
 //! cleanly over S ∈ {1, 2, 4} shards (ownership is modular:
-//! `v mod S = (v mod 4) mod S` whenever `S` divides 4). The matrix covers
-//! all three solution-set backends and worker counts 1/2/4/8 — none of
-//! which may change a single observable.
+//! `v mod S = (v mod 4) mod S` whenever `S` divides 4).
 //!
 //! The tail of every check publishes the fleet into a [`SnapshotHub`] and
 //! replays the queries against the lock-free [`HubView`], pinning the
@@ -26,7 +24,6 @@ use bane_synth::delta::{
 use proptest::prelude::*;
 
 const SHARDS: [usize; 3] = [1, 2, 4];
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The shard owning a resolved constraint group: the owner of any of its
 /// variables (the generator confines each group to one partition class).
@@ -57,10 +54,9 @@ fn intersects(a: &[TermId], b: &[TermId]) -> bool {
 /// Drives `script` through an `shards`-wide fleet, an unsharded session,
 /// and per-shard reference sessions, checking equivalence at every step
 /// and hub-served equivalence at the end.
-fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: usize) {
+fn check_fleet(script: &DeltaScript, shards: usize) {
     assert_eq!(script.partitions as usize % shards, 0, "S must divide the partition count");
-    let builder =
-        SessionBuilder::new().config(SolverConfig::if_online().with_solset(kind)).threads(threads);
+    let builder = SessionBuilder::new().config(SolverConfig::if_online());
     let mut fleet = ShardManager::new(&builder, shards);
     let mut single = builder.build();
     let mut refs: Vec<Session> = (0..shards).map(|_| builder.build()).collect();
@@ -125,7 +121,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
         }
 
         let freport = fleet.apply(fd).unwrap_or_else(|e| {
-            panic!("step {i} ({kind:?}, {shards} shards): fleet rejected a partitioned script: {e}")
+            panic!("step {i} ({shards} shards): fleet rejected a partitioned script: {e}")
         });
         let sreport = single.apply(sd);
         assert_eq!(freport.monotone, sreport.monotone, "step {i}: path classification");
@@ -158,7 +154,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
             assert_eq!(
                 fleet.points_to(v),
                 single.points_to(v).to_vec().as_slice(),
-                "step {i} ({kind:?}, {threads} threads, {shards} shards): set of {v:?} diverged"
+                "step {i} ({shards} shards): set of {v:?} diverged"
             );
         }
         for pair in bind.vars.windows(2).step_by(3) {
@@ -189,7 +185,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
     // concurrently, so every call publishes into a directory of its own.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "bane-fleet-eq-{}-{}-{kind:?}-{threads}t-{shards}s",
+        "bane-fleet-eq-{}-{}-{shards}s",
         std::process::id(),
         CALLS.fetch_add(1, Ordering::Relaxed)
     ));
@@ -222,44 +218,28 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(18))]
 
-    /// Random partitioned scripts, every backend, every shard width.
+    /// Random partitioned scripts, every shard width.
     #[test]
     fn fleet_equals_unsharded(seed in 0u64..1_000_000, steps in 6usize..18) {
         let script = generate_delta_script(&DeltaScriptConfig::sharded(steps, seed, 4));
         script.validate().expect("generated script validates");
-        for kind in SolSetKind::ALL {
-            for shards in SHARDS {
-                check_fleet(&script, kind, 2, shards);
-            }
+        for shards in SHARDS {
+            check_fleet(&script, shards);
         }
     }
 }
 
-/// A fixed long adversarial script across the full backend × shard matrix,
-/// pinned outside proptest so it always runs.
+/// A fixed long adversarial script at every shard width (the one
+/// solution-set representation is the sorted-span arena), pinned outside
+/// proptest so it always runs.
 #[test]
 fn long_partitioned_script_all_backends_all_widths() {
     let script = generate_delta_script(&DeltaScriptConfig::sharded(36, 0xf1ee7, 4));
     script.validate().expect("script validates");
     assert!(script.has_nonmonotone(), "long script must exercise replay");
-    for kind in SolSetKind::ALL {
-        for shards in SHARDS {
-            check_fleet(&script, kind, 4, shards);
-        }
-    }
-}
-
-/// Worker count is invisible: the same script at every thread count, on a
-/// 2- and 4-shard fleet (the per-shard byte-identity asserts inside
-/// `check_fleet` are the teeth).
-#[test]
-fn thread_matrix_changes_nothing() {
-    let script = generate_delta_script(&DeltaScriptConfig::sharded(24, 0xba9e, 4));
-    script.validate().expect("script validates");
-    for threads in THREADS {
-        check_fleet(&script, SolSetKind::SortedSpan, threads, 2);
-        check_fleet(&script, SolSetKind::Hybrid, threads, 4);
+    for shards in SHARDS {
+        check_fleet(&script, shards);
     }
 }

@@ -13,7 +13,7 @@
 //!   byte-for-byte in `docs/SNAPSHOT_FORMAT.md`), from the solution and
 //!   CSR the caller already holds. [`encode_solver`] / [`write_solver`]
 //!   compute that pair first. Writing is deterministic: the same run always
-//!   produces the same bytes, for every solution-set backend.
+//!   produces the same bytes.
 //! - [`QueryIndex`]: loads a snapshot zero-copy (mmap where available,
 //!   owned aligned buffer otherwise) and answers
 //!   [`points_to`](QueryIndex::points_to),

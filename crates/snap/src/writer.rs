@@ -3,8 +3,8 @@
 //! Writing is a pure function of the solved state — no timestamps, no
 //! host identifiers, no randomness — so the same run always produces the
 //! same bytes. That determinism is what makes the committed golden fixture
-//! (`tests/fixtures/tiny.snap`) and the cross-backend byte-equality
-//! property tests possible.
+//! (`tests/fixtures/tiny.snap`) and the byte-equality property tests
+//! possible.
 //!
 //! [`encode_parts`] is the one encoder. It takes the least solution and the
 //! frozen CSR the caller already holds, sizes the image once from the
@@ -17,6 +17,7 @@
 //! filesystem, so every structural path is testable without temp files.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bane_core::cons::ConRegistry;
 use bane_core::expr::{SetExpr, TermArena};
@@ -34,11 +35,7 @@ use crate::format::{
 /// that pass froze, as a complete snapshot file image.
 ///
 /// Takes `&mut` because [`Solver::least_solution`] does; call after
-/// [`Solver::solve`] has converged. The emitted bytes are identical for
-/// every [`SolSetKind`](bane_core::solset::SolSetKind) backend, because the
-/// canonical [`LeastSolution`] is (that is the backends' byte-identity
-/// contract, and the round-trip property tests re-assert it through this
-/// writer).
+/// [`Solver::solve`] has converged.
 pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
     let ls = solver.least_solution();
     encode_parts(solver.config().form, solver.least_csr(), &ls, solver.terms(), solver.cons())
@@ -48,9 +45,10 @@ pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
 /// image.
 ///
 /// `csr` must be the CSR `ls` was evaluated over: [`Solver::least_csr`]
-/// after [`Solver::least_solution`], or `bane-par`'s `ParLeast::csr` next
-/// to its `solution`. The writer cross-checks their variable counts but
-/// cannot detect a deeper mismatch. Callers holding no solution call
+/// after [`Solver::least_solution`], or a
+/// [`Revalidator`](bane_core::least::Revalidator)'s `csr` next to its
+/// `solution`. The writer cross-checks their variable counts but cannot
+/// detect a deeper mismatch. Callers holding no solution call
 /// [`encode_solver`] instead.
 pub fn encode_parts(
     form: Form,
@@ -214,25 +212,34 @@ pub fn write_solver(
 
 /// Writes an encoded snapshot image to `path`, returning its size in bytes.
 ///
-/// The bytes go to a temporary sibling named after the whole file name
-/// (`run.a` writes `run.a.tmp`), which is then renamed into place: a crash
-/// mid-write never leaves a half-written file at `path`, and paths that
-/// differ only in extension never share a temporary. When a recorder is
-/// supplied, the size is added to the `snap.bytes-written` counter.
+/// The bytes go to a temporary sibling named after the whole file name, the
+/// process id and a process-wide sequence number (`run.a` writes
+/// `run.a.<pid>.<n>.tmp`), which is then renamed into place: a crash
+/// mid-write never leaves a half-written file at `path`, and no two writers
+/// ever share a temporary, whether they publish to one path or to paths
+/// that differ only in extension. A failed write or rename removes its
+/// temporary. When a recorder is supplied, the size is added to the
+/// `snap.bytes-written` counter.
 pub fn write_image(path: &Path, image: &[u8], rec: Option<&Recorder>) -> Result<u64, SnapError> {
     let tmp = temp_path(path);
-    std::fs::write(&tmp, image)?;
-    std::fs::rename(&tmp, path)?;
+    let written = std::fs::write(&tmp, image).and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
     if let Some(r) = rec {
         r.add(Counter::SnapBytesWritten, image.len() as u64);
     }
     Ok(image.len() as u64)
 }
 
-/// `path` with `.tmp` appended to its full file name.
+/// `path` with `.<pid>.<n>.tmp` appended to its full file name, `n` unique
+/// within the process.
 fn temp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut name = path.as_os_str().to_owned();
-    name.push(".tmp");
+    name.push(format!(".{}.{n}.tmp", std::process::id()));
     PathBuf::from(name)
 }
 
@@ -347,8 +354,16 @@ mod tests {
 
     #[test]
     fn temp_files_keep_the_whole_file_name() {
-        let (a, b) = (temp_path(Path::new("dir/run.a")), temp_path(Path::new("dir/run.b")));
-        assert_eq!(a, Path::new("dir/run.a.tmp"));
-        assert_eq!(b, Path::new("dir/run.b.tmp"));
+        let pid = std::process::id();
+        for stem in ["dir/run.a", "dir/run.b"] {
+            let (t1, t2) = (temp_path(Path::new(stem)), temp_path(Path::new(stem)));
+            assert_ne!(t1, t2, "each call gets its own temporary");
+            for t in [t1, t2] {
+                let t = t.to_str().unwrap().to_owned();
+                let rest = t.strip_prefix(&format!("{stem}.{pid}.")).expect("whole name, then pid");
+                let n = rest.strip_suffix(".tmp").expect(".tmp suffix");
+                assert!(n.parse::<u64>().is_ok(), "sequence number in {t}");
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Write → load → query equals the in-memory `LeastSolution`, for every
-//! solution-set backend, both graph forms, and both load paths — plus
-//! strict rejection of corrupted and truncated files.
+//! Write → load → query equals the in-memory `LeastSolution`, for both
+//! graph forms and both load paths — plus strict rejection of corrupted and
+//! truncated files, and atomic publishing under concurrent writers.
 
 use bane_core::prelude::*;
 use bane_points_to::andersen;
@@ -9,8 +9,6 @@ use bane_snap::{
 };
 use bane_synth::gen::{self, GenConfig};
 use proptest::prelude::*;
-
-const BACKENDS: [SolSetKind; 3] = [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid];
 
 fn solved_solver(seed: u64, config: SolverConfig) -> Solver {
     let program = gen::generate(&GenConfig::sized(600, seed));
@@ -45,27 +43,23 @@ fn assert_index_matches(index: &QueryIndex, ls: &LeastSolution) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The headline round-trip property: for random programs, every
-    /// backend and both forms produce a snapshot whose loaded answers
-    /// equal the in-memory least solution — and all backends produce the
-    /// *same bytes*, because the canonical `LeastSolution` is
-    /// byte-identical across them.
+    /// The headline round-trip property: for random programs, both forms
+    /// produce a snapshot whose loaded answers equal the in-memory least
+    /// solution — and two independent solves of the same program produce
+    /// the *same bytes*, because encoding is deterministic.
     #[test]
     fn write_load_query_equals_live_least_solution(seed in 0u64..2000) {
-        for base in [SolverConfig::if_online(), SolverConfig::sf_online()] {
+        for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
             let mut images: Vec<Vec<u8>> = Vec::new();
-            for kind in BACKENDS {
-                let mut solver = solved_solver(seed, base.with_solset(kind));
+            for _ in 0..2 {
+                let mut solver = solved_solver(seed, config);
                 let ls = solver.least_solution();
                 let bytes = encode_solver(&mut solver).unwrap();
                 let index = QueryIndex::from_bytes(&bytes).unwrap();
                 assert_index_matches(&index, &ls);
                 images.push(bytes);
             }
-            prop_assert!(
-                images.windows(2).all(|w| w[0] == w[1]),
-                "snapshot bytes differ across solution-set backends"
-            );
+            prop_assert!(images[0] == images[1], "snapshot bytes differ across identical runs");
         }
     }
 }
@@ -123,6 +117,34 @@ fn paths_differing_only_in_extension_publish_independently() {
         assert_eq!(&std::fs::read(path).unwrap(), image);
         assert_index_matches(&QueryIndex::load(path).unwrap(), ls);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Concurrent publishes to one path each get their own temporary: every
+/// write and rename succeeds, and the file left behind is one whole image.
+#[test]
+fn concurrent_publishes_to_one_path_all_succeed() {
+    let dir = std::env::temp_dir().join(format!("bane-snap-race-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.snap");
+    let images: Vec<Vec<u8>> = (0..4u64)
+        .map(|seed| encode_solver(&mut solved_solver(20 + seed, SolverConfig::if_online())).unwrap())
+        .collect();
+    std::thread::scope(|scope| {
+        for image in &images {
+            let path = &path;
+            scope.spawn(move || {
+                for _ in 0..25 {
+                    assert_eq!(write_image(path, image, None).unwrap(), image.len() as u64);
+                }
+            });
+        }
+    });
+    let last = std::fs::read(&path).unwrap();
+    assert!(images.contains(&last), "the published file is not one of the images");
+    assert!(QueryIndex::load(&path).is_ok());
+    let leftovers = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(leftovers, 1, "no temporary survives a successful publish");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

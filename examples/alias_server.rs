@@ -7,8 +7,9 @@
 //! Run the walkthrough with `cargo run --release --example alias_server`.
 //!
 //! With `--check` the example becomes a verification gate (used by CI's
-//! snap-roundtrip job): it writes a povray-2.2 snapshot under every
-//! solution-set backend, reloads each cold, diffs **all** query answers —
+//! snap-roundtrip job): it writes a povray-2.2 snapshot in both graph forms
+//! through `write_solver` (an independent least pass), reloads each cold,
+//! diffs **all** query answers —
 //! `points_to` and `reachable_sources` for every variable, `alias` over a
 //! sample grid — against the live solver's least solution, and exits
 //! nonzero on any mismatch. `--scale <f>` adjusts the synthetic suite
@@ -25,9 +26,8 @@
 
 use bane::core::prelude::*;
 use bane::obs::Recorder;
-use bane::par::{chunk_range, Pool};
 use bane::points_to::andersen;
-use bane::snap::{write_solver, LoadMode, QueryIndex, QueryScratch};
+use bane::snap::{encode_parts, write_image, write_solver, LoadMode, QueryIndex, QueryScratch};
 use bane::synth::suite::{suite_program, PAPER_SUITE};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -96,11 +96,16 @@ fn run_walkthrough(scale: f64) {
     println!("\n== 2. snapshot ==");
     let path = snapshot_path("demo");
     let start = Instant::now();
-    let bytes = write_solver(&mut analysis.solver, &path, None).expect("write snapshot");
-    println!("wrote {bytes} bytes to {} in {:?}", path.display(), start.elapsed());
+    // Encode the least solution we keep for the spot check below, with the
+    // CSR its pass froze: one least pass in all.
+    let live = analysis.solver.least_solution();
+    let solver = &analysis.solver;
+    let image = encode_parts(solver.config().form, solver.least_csr(), &live, solver.terms(), solver.cons())
+        .expect("encode snapshot");
+    let bytes = write_image(&path, &image, None).expect("write snapshot");
+    println!("solved least + wrote {bytes} bytes to {} in {:?}", path.display(), start.elapsed());
 
     // The point of the exercise: from here on there is no solver at all.
-    let live = analysis.solver.least_solution();
     drop(analysis);
 
     println!("\n== 3. cold load ==");
@@ -138,21 +143,24 @@ fn run_walkthrough(scale: f64) {
     println!("\n== 5. serve from 4 threads ==");
     let threads = 4;
     let n = index.var_count();
-    let pool = Pool::new(threads);
     let hits = AtomicUsize::new(0);
     let (index_ref, hits_ref) = (&index, &hits);
     let start = Instant::now();
-    pool.broadcast(|w| {
-        let (lo, hi) = chunk_range(n, threads, w);
-        let mut local = 0;
-        for i in lo..hi {
-            let v = Var::new(i);
-            let partner = Var::new((i * 7919 + w) % n);
-            if index_ref.alias(v, partner) {
-                local += 1;
-            }
+    std::thread::scope(|scope| {
+        for w in 0..threads {
+            scope.spawn(move || {
+                let (lo, hi) = (n * w / threads, n * (w + 1) / threads);
+                let mut local = 0;
+                for i in lo..hi {
+                    let v = Var::new(i);
+                    let partner = Var::new((i * 7919 + w) % n);
+                    if index_ref.alias(v, partner) {
+                        local += 1;
+                    }
+                }
+                hits_ref.fetch_add(local, Ordering::Relaxed);
+            });
         }
-        hits_ref.fetch_add(local, Ordering::Relaxed);
     });
     let elapsed = start.elapsed();
     println!(
@@ -180,7 +188,7 @@ fn run_reload(scale: f64) {
     let program = povray(scale);
     let mut problem = Problem::new(SolverConfig::if_online());
     andersen::generate(&program, &mut problem);
-    let mut session = SessionBuilder::new().threads(4).build_grouped(problem, 16);
+    let mut session = SessionBuilder::new().build_grouped(problem, 16);
     let path = snapshot_path("reload");
     let bytes = session.publish_snapshot(&path).expect("publish snapshot");
     println!("published {bytes} bytes to {}", path.display());
@@ -275,51 +283,56 @@ fn run_reload(scale: f64) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The gate: every backend, full query diff vs the live solver, nonzero
-/// exit on any divergence.
+/// The gate: both graph forms, full query diff vs the live solver, nonzero
+/// exit on any divergence. The snapshot comes from `write_solver`, which
+/// runs its own least pass, so it is checked against an independently
+/// computed solution.
 fn run_check(scale: f64) {
     let program = povray(scale);
     let mut failures = 0usize;
-    for kind in [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid] {
-        let config = SolverConfig::if_online().with_solset(kind);
+    for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
+        let form = config.form;
         let mut analysis = andersen::analyze(&program, config);
         let live = analysis.solver.least_solution();
-        let path = snapshot_path(&format!("check-{kind:?}"));
+        let path = snapshot_path(&format!("check-{form:?}"));
         write_solver(&mut analysis.solver, &path, None).expect("write snapshot");
         drop(analysis);
 
         let index = QueryIndex::load_with(&path, LoadMode::Auto, None).expect("load snapshot");
         let n = index.var_count();
-        assert_eq!(n, live.len(), "{kind:?}: variable counts diverged");
+        assert_eq!(n, live.len(), "{form:?}: variable counts diverged");
         let mismatches = AtomicUsize::new(0);
         let threads = 4;
-        let pool = Pool::new(threads);
         let (index, live, mismatches) = (&index, &live, &mismatches);
-        pool.broadcast(|w| {
-            let (lo, hi) = chunk_range(n, threads, w);
-            let mut scratch = QueryScratch::new();
-            let mut reach = Vec::new();
-            for i in lo..hi {
-                let v = Var::new(i);
-                let want = live.get(v);
-                if index.points_to(v) != want {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-                index.reachable_sources_with(v, &mut scratch, &mut reach);
-                if reach != want {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-                let partner = Var::new((i * 7919 + w) % n);
-                let live_alias =
-                    want.iter().any(|t| live.get(partner).binary_search(t).is_ok());
-                if index.alias(v, partner) != live_alias {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                scope.spawn(move || {
+                    let (lo, hi) = (n * w / threads, n * (w + 1) / threads);
+                    let mut scratch = QueryScratch::new();
+                    let mut reach = Vec::new();
+                    for i in lo..hi {
+                        let v = Var::new(i);
+                        let want = live.get(v);
+                        if index.points_to(v) != want {
+                            mismatches.fetch_add(1, Ordering::Relaxed);
+                        }
+                        index.reachable_sources_with(v, &mut scratch, &mut reach);
+                        if reach != want {
+                            mismatches.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let partner = Var::new((i * 7919 + w) % n);
+                        let live_alias =
+                            want.iter().any(|t| live.get(partner).binary_search(t).is_ok());
+                        if index.alias(v, partner) != live_alias {
+                            mismatches.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
             }
         });
         let bad = mismatches.load(Ordering::Relaxed);
         println!(
-            "check {kind:?}: {n} vars × (points_to + reachable_sources + alias) — {}",
+            "check {form:?}: {n} vars × (points_to + reachable_sources + alias) — {}",
             if bad == 0 { "ok".to_string() } else { format!("{bad} MISMATCHES") }
         );
         failures += bad;

@@ -58,7 +58,7 @@ fn die(msg: &str) -> ! {
 
 /// One builder recipe for every serving mode in this example.
 fn builder() -> SessionBuilder {
-    SessionBuilder::new().threads(4)
+    SessionBuilder::new()
 }
 
 /// Serves stdin/stdout until EOF or `quit` — one session, or an `n`-shard

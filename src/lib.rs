@@ -14,7 +14,6 @@
 //! - [`synth`] (`bane-synth`): the synthetic benchmark-suite generator.
 //! - [`model`] (`bane-model`): the analytical model of Section 5.
 //! - [`cfa`] (`bane-cfa`): closure analysis, the paper's stated future work.
-//! - [`par`] (`bane-par`): the deterministic parallel execution engine.
 //! - [`snap`] (`bane-snap`): the on-disk snapshot format and the read-only
 //!   alias-query serving layer (docs/SNAPSHOT_FORMAT.md, docs/SERVING.md).
 //! - [`serve`] (`bane-serve`): the long-lived incremental analysis session —
@@ -41,7 +40,6 @@ pub use bane_cfront as cfront;
 pub use bane_core as core;
 pub use bane_model as model;
 pub use bane_obs as obs;
-pub use bane_par as par;
 pub use bane_points_to as points_to;
 pub use bane_serve as serve;
 pub use bane_snap as snap;
