@@ -58,8 +58,8 @@
 //! force.
 //!
 //! `bane-bench/5` surfaces the search-kernel unified counters
-//! (`search.memo.*`, `epoch.resets`, `csr.build`) in the observed runs'
-//! `obs` reports.
+//! (`epoch.resets`, `csr.build`, and the hit/miss pair of the since-deleted
+//! negative-search memo) in the observed runs' `obs` reports.
 //!
 //! `bane-bench/6` adds the **solution-set backend** axis:
 //!
@@ -146,7 +146,7 @@
 //! `bane-bench/11` removes everything the deleted round-parallel closure
 //! engine reported: its rounds-per-dispatch header field, the `par_batch`
 //! section, and the `par_ls` section's `seq_solve_ns` and per-row
-//! `frontier_*` and `search.memo.*` columns. Every other field is emitted
+//! `frontier_*` and memo hit/miss columns. Every other field is emitted
 //! byte-identically.
 //!
 //! `bane-bench/12` removes what the deleted parallel and alternative
@@ -156,6 +156,10 @@
 //! `logical_cpus` and `single_cpu` stay, describing the machine the
 //! `snap_queries` reader threads ran on. Every other field is emitted
 //! byte-identically.
+//!
+//! Still `bane-bench/12`: with the negative-search memo deleted, the
+//! observed runs' `obs` reports (and the `--report` aggregate) no longer
+//! carry its hit/miss counters. The stable fields are unchanged.
 //!
 //! The JSON is hand-rolled (the build environment has no serde); the format
 //! is plain nested objects with no NaNs and no trailing commas, so any JSON

@@ -47,7 +47,7 @@ use crate::expr::Var;
 use crate::forward::Forwarding;
 use crate::graph::Graph;
 use crate::order::VarOrder;
-use bane_util::{EpochSetImpl, EpochStamp, FxHashMap};
+use bane_util::{EpochSetImpl, EpochStamp};
 
 /// Which adjacency lists the chain search follows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -227,184 +227,6 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
     /// Grows the visited set to cover `capacity` variables.
     pub(crate) fn grow(&mut self, capacity: usize) {
         self.visited.grow(capacity);
-    }
-}
-
-/// A snapshot of the graph mutations that can change a chain search's
-/// outcome or cost, used to validate memoized negative verdicts (DESIGN.md
-/// §4e).
-///
-/// The counters are split by polarity because a chain search only ever scans
-/// one side of the adjacency: a [`ChainDir::Pred`] search reads predecessor
-/// lists exclusively, so successor inserts provably cannot change which
-/// entries it dequeues — and vice versa. Collapses invalidate everything
-/// (forwarding changes which nodes entries canonicalize to). Eager
-/// compaction is deliberately *not* a revision: it rewrites stale entries in
-/// place without changing the traversal multiset (see
-/// [`graph`](crate::graph) module docs), so a memoized verdict — including
-/// its exact `nodes_visited`/`edges_scanned` deltas — stays valid across it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GraphRevision {
-    pred: u64,
-    succ: u64,
-    collapses: usize,
-}
-
-impl GraphRevision {
-    /// Snapshots the current revision of `graph` + `fwd`.
-    pub(crate) fn of(graph: &Graph, fwd: &Forwarding) -> Self {
-        GraphRevision {
-            pred: graph.pred_var_revision(),
-            succ: graph.succ_var_revision(),
-            collapses: fwd.collapsed_count(),
-        }
-    }
-
-    /// Whether a verdict for a `dir`-direction search recorded at `self` is
-    /// still exact at `now`.
-    fn still_valid(self, now: GraphRevision, dir: ChainDir) -> bool {
-        self.collapses == now.collapses
-            && match dir {
-                ChainDir::Pred => self.pred == now.pred,
-                ChainDir::Succ => self.succ == now.succ,
-            }
-    }
-
-    /// Whether solved state recorded at `self` is still **exactly** valid at
-    /// `now`: no new edge of either polarity, no collapse. This is the
-    /// cross-`Delta` generalization of the per-verdict check above — a
-    /// `Session` whose revision validates can answer queries from its
-    /// retained least solution without any recomputation at all.
-    pub fn validates(self, now: GraphRevision) -> bool {
-        self == now
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct MemoEntry {
-    rev: GraphRevision,
-    /// The search's `nodes_visited` delta (also its `max_visits` candidate).
-    nodes: u64,
-    /// The search's `edges_scanned` delta.
-    edges: u64,
-}
-
-/// Negative-result memoization for chain searches (DESIGN.md §4e).
-///
-/// Caches "no cycle found from `(start, target, dir, step)`" verdicts keyed
-/// by [`GraphRevision`]. A hit answers without touching the graph while
-/// replaying the recorded per-search [`SearchStats`] deltas, so every
-/// paper-observable counter is byte-identical to a live re-search — which is
-/// sound because a matching revision guarantees the re-search would dequeue
-/// the *same entry sequence* (same lists, same lengths, same canonical
-/// targets) and therefore produce the same verdict and the same counts.
-///
-/// Found cycles are never cached: the caller needs the path, and the
-/// subsequent collapse invalidates the revision immediately anyway.
-///
-/// Invalidation is exact in the sense the paper's Work metric requires:
-/// collapses and polarity-matching *new* edge inserts invalidate; redundant
-/// insert attempts, source/sink inserts, and eager compaction do not.
-///
-/// The sequential solver is this memo's only caller, and there its hits are
-/// structurally 0: the redundancy check fires before any repeated search,
-/// and every search that reaches the memo is immediately followed by an
-/// insert or a collapse, which bumps the revision before the same key can
-/// recur. Every probe is therefore a miss that records an entry, and the
-/// memo saves no searches. Removing it is an open ROADMAP item: it changes
-/// the allocation pattern of whole-program runs, which moves their peak RSS.
-///
-/// Storage is a reusable hash map that only grows while *new* keys miss;
-/// steady-state re-feeds of redundant constraints never reach the memo at
-/// all, preserving the zero-allocation pin.
-#[derive(Clone, Debug)]
-pub(crate) struct SearchMemo {
-    map: FxHashMap<(Var, Var, ChainDir, StepOrder), MemoEntry>,
-    hits: u64,
-    misses: u64,
-    enabled: bool,
-}
-
-impl Default for SearchMemo {
-    fn default() -> Self {
-        SearchMemo { map: FxHashMap::default(), hits: 0, misses: 0, enabled: true }
-    }
-}
-
-impl SearchMemo {
-    /// Creates an enabled, empty memo.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Turns memoization off (every call falls through to the live search,
-    /// counting neither hits nor misses) or back on. Used by the census
-    /// equivalence tests and as an operational kill switch.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Number of searches answered from a still-valid negative verdict.
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of searches that ran live (no entry, or a stale one).
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Runs `search` through the memo: a still-valid negative verdict for
-    /// `(start, target, dir, step)` answers `false` without traversal,
-    /// replaying the recorded stats deltas; otherwise the live
-    /// [`ChainSearchImpl::search`] runs (same contract, including `path`
-    /// handling) and a negative outcome is recorded at the current
-    /// [`GraphRevision`].
-    #[allow(clippy::too_many_arguments)] // mirrors the search it wraps
-    pub(crate) fn search<E: EpochStamp>(
-        &mut self,
-        search: &mut ChainSearchImpl<E>,
-        graph: &Graph,
-        fwd: &Forwarding,
-        order: &VarOrder,
-        start: Var,
-        target: Var,
-        dir: ChainDir,
-        step: StepOrder,
-        stats: &mut SearchStats,
-        path: &mut Vec<Var>,
-    ) -> bool {
-        if !self.enabled {
-            return search.search(graph, fwd, order, start, target, dir, step, stats, path);
-        }
-        let rev = GraphRevision::of(graph, fwd);
-        let key = (start, target, dir, step);
-        if let Some(entry) = self.map.get(&key) {
-            if entry.rev.still_valid(rev, dir) {
-                self.hits += 1;
-                path.clear();
-                stats.searches += 1;
-                stats.nodes_visited += entry.nodes;
-                stats.edges_scanned += entry.edges;
-                stats.max_visits = stats.max_visits.max(entry.nodes);
-                return false;
-            }
-        }
-        self.misses += 1;
-        let nodes_before = stats.nodes_visited;
-        let edges_before = stats.edges_scanned;
-        let found = search.search(graph, fwd, order, start, target, dir, step, stats, path);
-        if !found {
-            self.map.insert(
-                key,
-                MemoEntry {
-                    rev,
-                    nodes: stats.nodes_visited - nodes_before,
-                    edges: stats.edges_scanned - edges_before,
-                },
-            );
-        }
-        found
     }
 }
 
@@ -720,125 +542,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A memo hit replays the exact stats of the live search it short-cuts,
-    /// and redundant insert attempts do not invalidate the verdict.
-    #[test]
-    fn memo_hit_replays_exact_stats_and_ignores_redundant_inserts() {
-        let (mut g, f, o, mut s) = setup(4);
-        g.insert_pred_var(v(2), v(1));
-        g.insert_pred_var(v(1), v(0));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-
-        let mut st_live = SearchStats::default();
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st_live, &mut path,
-        );
-        assert!(!found);
-        assert_eq!((memo.hits(), memo.misses()), (0, 1));
-
-        // Redundant attempts bump no revision: the verdict must still hit.
-        assert_eq!(g.insert_pred_var(v(2), v(1)), crate::graph::Insert::Redundant);
-        let mut st_hit = SearchStats::default();
-        path.extend([v(0); 3]); // stale content must be cleared on a hit too
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st_hit, &mut path,
-        );
-        assert!(!found);
-        assert!(path.is_empty(), "hit clears the path buffer like a live miss");
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        assert_eq!(st_hit, st_live, "replayed deltas are byte-identical");
-    }
-
-    /// Polarity split: a new *successor* insert leaves *predecessor*-chain
-    /// verdicts valid (a pred search never scans succ lists), while a new
-    /// pred insert invalidates them.
-    #[test]
-    fn memo_invalidation_is_polarity_split() {
-        let (mut g, f, o, mut s) = setup(4);
-        g.insert_pred_var(v(2), v(1));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-
-        // Cross-polarity insert: still a hit.
-        assert_eq!(g.insert_succ_var(v(0), v(3)), crate::graph::Insert::New);
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-
-        // Same-polarity insert: the old verdict is stale — and in fact the
-        // answer changed, which is exactly why the revision must catch it.
-        assert_eq!(g.insert_pred_var(v(1), v(3)), crate::graph::Insert::New);
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Unrestricted,
-            &mut st, &mut path,
-        );
-        assert!(found, "unrestricted pred walk 2⋯→1⋯→3 now exists");
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        );
-        assert!(!found, "decreasing order still blocks the step up to 3");
-        assert_eq!(memo.hits(), 1, "no further hits after the pred insert");
-        assert_eq!(memo.misses(), 3);
-    }
-
-    /// Collapses invalidate every cached verdict, even when no new edge was
-    /// inserted around them.
-    #[test]
-    fn memo_invalidated_by_collapse() {
-        let (mut g, mut f, o, mut s) = setup(4);
-        g.insert_succ_var(v(2), v(1));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Succ, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        f.union_into(v(1), v(0)); // collapse: entries now canonicalize differently
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Succ, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "collapse forced a live re-search");
-    }
-
-    /// Found cycles are never cached, and a disabled memo is fully
-    /// transparent (no counting, no storage).
-    #[test]
-    fn memo_skips_found_cycles_and_respects_kill_switch() {
-        let (mut g, f, o, mut s) = setup(3);
-        g.insert_pred_var(v(2), v(1));
-        g.insert_pred_var(v(1), v(0));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        for _ in 0..2 {
-            assert!(memo.search(
-                &mut s, &g, &f, &o, v(2), v(0), ChainDir::Pred, StepOrder::Decreasing,
-                &mut st, &mut path,
-            ));
-            assert_eq!(path, vec![v(2), v(1), v(0)]);
-        }
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "positive results always search live");
-
-        memo.set_enabled(false);
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "disabled memo counts nothing");
     }
 }

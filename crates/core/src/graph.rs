@@ -329,15 +329,6 @@ impl GraphCensus {
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     nodes: IdxVec<Var, VarNode>,
-    /// Monotone count of structural changes to predecessor variable lists:
-    /// `Insert::New` outcomes of [`insert_pred_var`](Graph::insert_pred_var)
-    /// plus [`take_edges`](Graph::take_edges) calls. Redundant inserts bump
-    /// nothing. Feeds the negative-search memo's revision validation (see
-    /// [`cycle::GraphRevision`](crate::cycle::GraphRevision)).
-    pred_var_revision: u64,
-    /// Monotone count of structural changes to successor variable lists
-    /// (`Insert::New` successor inserts plus `take_edges` calls).
-    succ_var_revision: u64,
     /// Promotion log (obs builds only). Promotions are rare — a handful per
     /// run even on the paper's largest benchmark — so an unbounded log is
     /// safe, and pushes only happen on the promoting insert itself, never in
@@ -397,9 +388,6 @@ impl Graph {
     /// represented on the predecessor side; inductive form only).
     pub fn insert_pred_var(&mut self, y: Var, x: Var) -> Insert {
         let outcome = self.nodes[y].pred_vars.insert(x);
-        if outcome == Insert::New {
-            self.pred_var_revision += 1;
-        }
         #[cfg(feature = "obs")]
         if outcome == Insert::New && self.nodes[y].pred_vars.just_promoted() {
             self.promotions.push(PromotionRecord { node: y, kind: AdjKind::PredVars });
@@ -410,9 +398,6 @@ impl Graph {
     /// Inserts the successor edge `x → y`.
     pub fn insert_succ_var(&mut self, x: Var, y: Var) -> Insert {
         let outcome = self.nodes[x].succ_vars.insert(y);
-        if outcome == Insert::New {
-            self.succ_var_revision += 1;
-        }
         #[cfg(feature = "obs")]
         if outcome == Insert::New && self.nodes[x].succ_vars.just_promoted() {
             self.promotions.push(PromotionRecord { node: x, kind: AdjKind::SuccVars });
@@ -455,42 +440,25 @@ impl Graph {
     /// [`compact_node`](Graph::compact_node) call even within the same
     /// collapse epoch.
     pub fn take_edges(&mut self, v: Var) -> TakenEdges {
-        // Emptying the lists is a structural change on both sides. In the
-        // engines this only ever happens during a collapse (which bumps
-        // `Forwarding::collapsed_count` and therefore invalidates memoized
-        // verdicts anyway), but the revision counters stay honest for any
-        // caller.
-        self.pred_var_revision += 1;
-        self.succ_var_revision += 1;
         self.nodes[v].take()
     }
 
     /// Removes predecessor-variable entries of `v` whose position fails
-    /// `keep`, preserving survivor order; returns the removed count and
-    /// bumps the predecessor revision when anything was removed.
+    /// `keep`, preserving survivor order; returns the removed count.
     ///
     /// Requires raw (never-compacted) entries — see the provenance-tracking
     /// solver, which disables [`compact_node`](Graph::compact_node) while
     /// retraction is possible.
     pub fn retain_pred_vars(&mut self, v: Var, keep: impl FnMut(usize, Var) -> bool) -> usize {
-        let removed = self.nodes[v].pred_vars.retain_positions(keep);
-        if removed > 0 {
-            self.pred_var_revision += 1;
-        }
-        removed
+        self.nodes[v].pred_vars.retain_positions(keep)
     }
 
     /// Successor-variable analogue of [`retain_pred_vars`](Graph::retain_pred_vars).
     pub fn retain_succ_vars(&mut self, v: Var, keep: impl FnMut(usize, Var) -> bool) -> usize {
-        let removed = self.nodes[v].succ_vars.retain_positions(keep);
-        if removed > 0 {
-            self.succ_var_revision += 1;
-        }
-        removed
+        self.nodes[v].succ_vars.retain_positions(keep)
     }
 
-    /// Source-edge analogue of [`retain_pred_vars`](Graph::retain_pred_vars)
-    /// (source/sink lists feed no search memo, so no revision is tracked).
+    /// Source-edge analogue of [`retain_pred_vars`](Graph::retain_pred_vars).
     pub fn retain_pred_srcs(&mut self, v: Var, keep: impl FnMut(usize, TermId) -> bool) -> usize {
         self.nodes[v].pred_srcs.retain_positions(keep)
     }
@@ -498,21 +466,6 @@ impl Graph {
     /// Sink-edge analogue of [`retain_pred_vars`](Graph::retain_pred_vars).
     pub fn retain_succ_snks(&mut self, v: Var, keep: impl FnMut(usize, TermId) -> bool) -> usize {
         self.nodes[v].succ_snks.retain_positions(keep)
-    }
-
-    /// Monotone revision of the predecessor variable lists: bumped by every
-    /// `Insert::New` predecessor insert and every
-    /// [`take_edges`](Graph::take_edges); *not* bumped by redundant inserts,
-    /// source/sink inserts, or [`compact_node`](Graph::compact_node)
-    /// (compaction preserves the traversal multiset, see the module docs).
-    pub(crate) fn pred_var_revision(&self) -> u64 {
-        self.pred_var_revision
-    }
-
-    /// Monotone revision of the successor variable lists (see
-    /// [`pred_var_revision`](Graph::pred_var_revision)).
-    pub(crate) fn succ_var_revision(&self) -> u64 {
-        self.succ_var_revision
     }
 
     /// Eagerly rewrites stale variable entries of `v`'s promoted lists to
@@ -724,20 +677,16 @@ mod tests {
         for i in 0..n {
             g.insert_succ_var(hub, Var::new(i));
         }
-        let rev = g.succ_var_revision();
         // Drop the even positions.
         let removed = g.retain_succ_vars(hub, |pos, _| pos % 2 == 1);
         assert_eq!(removed, n.div_ceil(2));
-        assert!(g.succ_var_revision() > rev, "removal bumps the revision");
         let expect: Vec<Var> = (0..n).filter(|i| i % 2 == 1).map(Var::new).collect();
         assert_eq!(g.node(hub).succ_vars(), expect.as_slice());
         // Membership reflects the survivors: removed ids insert as New.
         assert_eq!(g.insert_succ_var(hub, Var::new(0)), Insert::New);
         assert_eq!(g.insert_succ_var(hub, Var::new(1)), Insert::Redundant);
-        // A no-op retain bumps nothing.
-        let rev = g.succ_var_revision();
+        // A no-op retain removes nothing.
         assert_eq!(g.retain_succ_vars(hub, |_, _| true), 0);
-        assert_eq!(g.succ_var_revision(), rev);
     }
 
     #[test]

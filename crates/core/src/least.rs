@@ -435,39 +435,6 @@ impl LeastSolution {
         self.arena.len()
     }
 
-    /// Assembles a solution from its raw storage, the inverse of
-    /// [`raw_parts`](LeastSolution::raw_parts).
-    ///
-    /// `PartialEq` on two `LeastSolution`s compares exactly these three
-    /// buffers, so an equality assertion pins layout, not just set
-    /// contents.
-    ///
-    /// Invariants (debug-asserted): `rep` and `spans` have one entry per
-    /// variable, every span lies inside `arena`, and no two non-empty spans
-    /// overlap — each canonical variable owns its arena range exclusively
-    /// (aliasing happens through `rep`, never through shared spans).
-    pub fn from_parts(rep: Vec<Var>, arena: Vec<TermId>, spans: Vec<(u32, u32)>) -> Self {
-        debug_assert_eq!(rep.len(), spans.len());
-        debug_assert!(spans
-            .iter()
-            .all(|&(s, e)| s <= e && (e as usize) <= arena.len()));
-        #[cfg(debug_assertions)]
-        {
-            let mut occupied: Vec<(u32, u32)> =
-                spans.iter().copied().filter(|&(s, e)| e > s).collect();
-            occupied.sort_unstable();
-            for w in occupied.windows(2) {
-                debug_assert!(
-                    w[0].1 <= w[1].0,
-                    "overlapping least-solution spans: {:?} and {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-        }
-        LeastSolution { rep, arena, spans }
-    }
-
     /// The raw storage: `(rep, arena, spans)`. `rep[i]` is variable `i`'s
     /// canonical representative, and `spans[i]` indexes `arena` with
     /// representative `i`'s sorted set (`(0, 0)` or an empty range when the
@@ -1068,27 +1035,6 @@ mod tests {
             merge_sorted_dedup(&a, &b, &mut out);
             assert_eq!(out, naive_merge(&a, &b), "round {round}");
         }
-    }
-
-    #[test]
-    fn from_parts_accepts_disjoint_spans() {
-        let rep = vec![Var::new(0), Var::new(0), Var::new(2)];
-        let arena = terms(&[1, 2, 3, 4]);
-        // Disjoint non-empty spans plus an empty one: fine.
-        let ls = LeastSolution::from_parts(rep, arena, vec![(0, 2), (0, 0), (2, 4)]);
-        assert_eq!(ls.get(Var::new(1)), ls.get(Var::new(0)));
-        assert_eq!(ls.get(Var::new(2)), terms(&[3, 4]).as_slice());
-    }
-
-    /// Regression for the invariant sweep: two canonical variables must
-    /// never claim overlapping arena ranges.
-    #[test]
-    #[should_panic(expected = "overlapping least-solution spans")]
-    #[cfg(debug_assertions)]
-    fn from_parts_rejects_overlapping_spans() {
-        let rep = vec![Var::new(0), Var::new(1)];
-        let arena = terms(&[1, 2, 3]);
-        let _ = LeastSolution::from_parts(rep, arena, vec![(0, 2), (1, 3)]);
     }
 
     /// Random chains: IF least solution equals SF's explicit one.

@@ -37,7 +37,7 @@
 
 use bane_util::idx::Idx;
 use crate::cons::{Con, ConRegistry, Variance};
-use crate::cycle::{ChainDir, ChainSearch, CycleSweep, SearchMemo, SfSearchPolicy, StepOrder};
+use crate::cycle::{ChainDir, ChainSearch, CycleSweep, SfSearchPolicy, StepOrder};
 use crate::error::Inconsistency;
 use crate::expr::{SetExpr, TermArena, TermData, TermId, Var};
 use crate::forward::Forwarding;
@@ -247,7 +247,6 @@ pub struct Solver {
     fwd: Forwarding,
     order: VarOrder,
     search: ChainSearch,
-    memo: SearchMemo,
     pending: VecDeque<(SetExpr, SetExpr)>,
     /// Provenance tracking (the `fast_apply` side-table). `None` unless
     /// [`enable_provenance`](Solver::enable_provenance) was called before
@@ -353,7 +352,6 @@ impl Solver {
             fwd: Forwarding::new(),
             order: VarOrder::new(config.order),
             search: ChainSearch::new(1024),
-            memo: SearchMemo::new(),
             pending: VecDeque::new(),
             prov: None,
             path_buf: Vec::new(),
@@ -441,8 +439,6 @@ impl Solver {
         rec.set(bane_obs::Counter::CensusLiveVars, counts.live_vars as u64);
         let promotions = self.graph.promotions();
         rec.set(bane_obs::Counter::AdjPromotions, promotions.len() as u64);
-        rec.set(bane_obs::Counter::SearchMemoHit, self.memo.hits());
-        rec.set(bane_obs::Counter::SearchMemoMiss, self.memo.misses());
         rec.set(
             bane_obs::Counter::EpochResets,
             self.search.epoch_resets() + self.cycle_sweep.epoch_resets(),
@@ -457,21 +453,6 @@ impl Solver {
     /// The configuration this solver runs under.
     pub fn config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Enables or disables negative cycle-search memoization (on by
-    /// default). Memo hits replay the exact stats of the search they skip,
-    /// so every paper-observable counter is identical either way — pinned by
-    /// the census-equivalence test — making this purely an operational kill
-    /// switch (and the lever that test uses).
-    pub fn set_search_memo_enabled(&mut self, enabled: bool) {
-        self.memo.set_enabled(enabled);
-    }
-
-    /// Cumulative `(hits, misses)` of the negative-search memo (also
-    /// published as the `search.memo.hit` / `search.memo.miss` counters).
-    pub fn search_memo_counts(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
     }
 
     // ------------------------------------------------------------------
@@ -1187,8 +1168,7 @@ impl Solver {
         let mut path = std::mem::take(&mut self.path_buf);
         #[cfg(feature = "obs")]
         self.obs_start(Phase::CycleDetect);
-        let found = self.memo.search(
-            &mut self.search,
+        let found = self.search.search(
             &self.graph,
             &self.fwd,
             &self.order,
@@ -1484,17 +1464,6 @@ impl Solver {
             order: &self.order,
             form: self.config.form,
         }
-    }
-
-    /// The current [`GraphRevision`](crate::cycle::GraphRevision) of the
-    /// solved graph — the validation token `bane-serve` records after each
-    /// solve and checks across `Delta` applications (see
-    /// `docs/INCREMENTAL.md`): [`validates`] means the solved state is
-    /// exactly current.
-    ///
-    /// [`validates`]: crate::cycle::GraphRevision::validates
-    pub fn graph_revision(&self) -> crate::cycle::GraphRevision {
-        crate::cycle::GraphRevision::of(&self.graph, &self.fwd)
     }
 
     /// The solver-owned CSR snapshot buffer the least-solution pass loans
@@ -2057,7 +2026,7 @@ mod incremental_tests {
 }
 
 #[cfg(test)]
-mod memo_tests {
+mod prov_tests {
     use super::*;
     use bane_util::SplitMix64;
 
@@ -2066,9 +2035,8 @@ mod memo_tests {
     /// Feeds an identical random constraint stream (dense enough to collapse
     /// cycles mid-solve, plus a source to make the least solution
     /// non-trivial) to one solver, in several incremental waves.
-    fn run_one(config: SolverConfig, seed: u64, memo: bool) -> (Solver, Vec<Var>) {
+    fn run_one(config: SolverConfig, seed: u64) -> (Solver, Vec<Var>) {
         let mut s = Solver::new(config);
-        s.set_search_memo_enabled(memo);
         let c = s.register_nullary("c");
         let src = s.term(c, vec![]);
         let vs: Vec<Var> = (0..N).map(|_| s.fresh_var()).collect();
@@ -2087,70 +2055,14 @@ mod memo_tests {
         (s, vs)
     }
 
-    /// The work-counter-identical census pin: memoization must not change a
-    /// single paper observable — [`Stats`] (including every search
-    /// counter), the graph census, and the least solution — even across
-    /// collapses mid-solve (which is precisely what the revision
-    /// invalidation has to get exactly right).
-    #[test]
-    fn memo_on_and_off_produce_identical_observables() {
-        for config in configs_under_test() {
-            for seed in [0xBEEF, 0xA11CE, 7] {
-                let (mut on, vs) = run_one(config, seed, true);
-                let (mut off, _) = run_one(config, seed, false);
-                assert_eq!(on.stats(), off.stats(), "{config:?} seed {seed:#x}");
-                assert_eq!(on.census(), off.census(), "{config:?} seed {seed:#x}");
-                let (hits, misses) = on.search_memo_counts();
-                assert_eq!(off.search_memo_counts(), (0, 0), "disabled memo counts nothing");
-                assert_eq!(
-                    hits + misses,
-                    on.stats().search.searches,
-                    "every search was routed through the memo, {config:?}"
-                );
-                let ls_on = on.least_solution();
-                let ls_off = off.least_solution();
-                for &v in &vs {
-                    let (a, b) = (on.find(v), off.find(v));
-                    assert_eq!(a, b, "{config:?} seed {seed:#x}");
-                    assert_eq!(ls_on.get(a), ls_off.get(b), "{config:?} seed {seed:#x}");
-                }
-            }
-        }
-    }
-
-    fn configs_under_test() -> Vec<SolverConfig> {
-        vec![SolverConfig::sf_online(), SolverConfig::if_online()]
-    }
-
-    /// In the sequential solver a same-key search can essentially never
-    /// repeat (the redundancy check fires first, and every non-redundant
-    /// search is immediately followed by an insert or a collapse — both
-    /// revision bumps). This test pins that structural property: across a
-    /// collapse-heavy run every memo probe is a miss, so the memo is pure
-    /// bookkeeping here and the hits the BENCH_5 table reports came from
-    /// the since-deleted frontier engine's frozen scan phase. If this ever starts failing with
-    /// hits > 0, the revision invalidation — not this test — is the thing
-    /// to re-audit (a sequential hit would mean a search repeated with *no*
-    /// intervening insert or collapse).
-    #[test]
-    fn sequential_memo_probes_all_miss_across_collapses() {
-        let (s, _) = run_one(SolverConfig::if_online(), 0xD1CE, true);
-        let (hits, misses) = s.search_memo_counts();
-        assert_eq!(hits, 0, "sequential same-key repeats are structurally impossible");
-        assert_eq!(misses, s.stats().search.searches);
-        assert!(s.stats().vars_eliminated > 0, "the run did collapse cycles mid-solve");
-    }
-
-    // -- constraint provenance (the fast_apply side-table) ---------------
-
     /// Provenance tracking must not change a single observable: the side
     /// table is pure bookkeeping, and the compaction it disables is
     /// observable-neutral by the graph module's contract.
     #[test]
     fn provenance_tracking_is_observable_neutral() {
-        for config in configs_under_test() {
+        for config in [SolverConfig::sf_online(), SolverConfig::if_online()] {
             for seed in [0xBEEF, 7] {
-                let (mut plain, vs) = run_one(config, seed, true);
+                let (mut plain, vs) = run_one(config, seed);
                 let mut tracked = Solver::new(config);
                 tracked.enable_provenance();
                 // Replay run_one's generation against the tracked solver,
@@ -2187,7 +2099,7 @@ mod memo_tests {
     /// least solution equals a from-scratch solve of the survivors.
     #[test]
     fn retract_and_repair_matches_scratch_sets() {
-        for config in configs_under_test() {
+        for config in [SolverConfig::sf_online(), SolverConfig::if_online()] {
             let mut s = Solver::new(config);
             s.enable_provenance();
             let c = s.register_nullary("c");

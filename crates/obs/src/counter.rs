@@ -92,82 +92,76 @@ pub enum Counter {
     ErrorsInconsistencies = 23,
 
     // -- search-kernel overhaul (DESIGN.md §4e) ---------------------------
-    /// Bounded cycle searches answered from the negative-verdict memo
-    /// without traversal.
-    SearchMemoHit = 24,
-    /// Bounded cycle searches that ran a live traversal (memo miss or memo
-    /// disabled/invalidated).
-    SearchMemoMiss = 25,
     /// Physical wraparound resets of epoch-stamped visited sets (once per
     /// 2^32 generations per set; expected 0 on real runs).
-    EpochResets = 26,
+    EpochResets = 24,
     /// CSR snapshots built for the least-solution kernel.
-    CsrBuilds = 27,
+    CsrBuilds = 25,
 
     // -- snapshot serving (bane-snap, docs/SERVING.md) --------------------
     /// Bytes written by the on-disk snapshot writer (file size including
     /// header and padding).
-    SnapBytesWritten = 28,
+    SnapBytesWritten = 26,
     /// Snapshot files loaded into a `QueryIndex`.
-    SnapLoads = 29,
+    SnapLoads = 27,
     /// Bytes mapped (or copied into the owned-buffer fallback) by loads.
-    SnapBytesMapped = 30,
+    SnapBytesMapped = 28,
     /// Queries answered by `QueryIndex` (only counted when a recorder is
     /// attached to the instrumented entry points; the lock-free hot path
     /// itself is uninstrumented).
-    SnapQueries = 31,
+    SnapQueries = 29,
 
     // -- incremental serving (bane-serve, docs/INCREMENTAL.md) ------------
     /// `Delta` batches applied to a live `Session`.
-    ServeDeltaApplied = 32,
+    ServeDeltaApplied = 30,
     /// Deltas taken through the monotone fast path (constraints fed into
     /// the live solver; prior sets reused as lower bounds).
-    ServeDeltaMonotone = 33,
+    ServeDeltaMonotone = 31,
     /// Deltas that removed constraints and fell back to replaying the
     /// canonical constraint sequence into a fresh solver.
-    ServeDeltaReplayed = 34,
+    ServeDeltaReplayed = 32,
     /// SCC condensation levels containing at least one dirty variable in
     /// the most recent re-solve (gauge; compare against the level total).
-    ServeDirtyLevels = 35,
+    ServeDirtyLevels = 33,
     /// Variables whose least-solution span was recomputed in the most
     /// recent re-solve (gauge).
-    ServeDirtyVars = 36,
+    ServeDirtyVars = 34,
     /// Variables whose retained least-solution span was reused verbatim
     /// across a `Delta` application.
-    ServeReuseHit = 37,
+    ServeReuseHit = 35,
 
     // -- fleet serving (bane-serve ShardManager, docs/SERVING.md) ---------
     /// Per-shard deltas dispatched by the fleet router (one per shard a
     /// batch actually touched).
-    FleetDeltaRouted = 38,
+    FleetDeltaRouted = 36,
     /// Variable creations replicated across the fleet by the `AddVars`
     /// fan-out (`n` requested vars on an `S`-shard fleet count `n * S`).
-    FleetVarsFanout = 39,
+    FleetVarsFanout = 37,
     /// Delta batches rejected atomically at the shard boundary (a group
     /// straddled owner classes, moved owners, or named a dead group).
-    FleetRejectCrossShard = 40,
+    FleetRejectCrossShard = 38,
     /// Per-shard snapshots republished into a `SnapshotHub`.
-    FleetPublish = 41,
+    FleetPublish = 39,
 
     // -- provenance fast-apply (bane-serve ApplyMode::Fast) ---------------
     /// Non-monotone deltas repaired in place by the provenance fast path
     /// (retraction + semi-naive refire, no replay).
-    ServeFastRepaired = 42,
+    ServeFastRepaired = 40,
     /// Non-monotone deltas on a Fast session that invalidated a recorded
     /// cycle collapse and fell back to canonical replay.
-    ServeFastFallback = 43,
+    ServeFastFallback = 41,
     /// Graph edges removed by provenance retraction across fast repairs.
-    ServeFastRetractedEdges = 44,
+    ServeFastRetractedEdges = 42,
     /// Smallest per-shard live-constraint count across the fleet (gauge;
     /// refreshed by `ShardManager` after every routed batch).
-    FleetBalanceMin = 45,
+    FleetBalanceMin = 43,
     /// Largest per-shard live-constraint count across the fleet (gauge).
-    FleetBalanceMax = 46,
+    FleetBalanceMax = 44,
 }
 
 impl Counter {
     /// Number of registered counters.
-    pub const COUNT: usize = 47;
+    pub const COUNT: usize = 45;
 
     /// Every counter, in canonical report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -195,8 +189,6 @@ impl Counter {
         Counter::GenConstraints,
         Counter::GenLocations,
         Counter::ErrorsInconsistencies,
-        Counter::SearchMemoHit,
-        Counter::SearchMemoMiss,
         Counter::EpochResets,
         Counter::CsrBuilds,
         Counter::SnapBytesWritten,
@@ -247,8 +239,6 @@ impl Counter {
             Counter::GenConstraints => "gen.constraints",
             Counter::GenLocations => "gen.locations",
             Counter::ErrorsInconsistencies => "errors.inconsistencies",
-            Counter::SearchMemoHit => "search.memo.hit",
-            Counter::SearchMemoMiss => "search.memo.miss",
             Counter::EpochResets => "epoch.resets",
             Counter::CsrBuilds => "csr.build",
             Counter::SnapBytesWritten => "snap.bytes-written",

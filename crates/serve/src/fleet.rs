@@ -158,10 +158,6 @@ pub struct ShardManager {
     /// Fleet-scoped group slot → owning shard and local id. Slots are
     /// never reused; removal tombstones (`live = false`).
     bindings: Vec<GroupBinding>,
-    /// Shards with groups staged through [`ConstraintBuilder::add`] that
-    /// the next [`apply`](ShardManager::apply) must flush even if the
-    /// batch routes nothing else to them.
-    staged: Vec<bool>,
     rec: Option<Recorder>,
 }
 
@@ -179,7 +175,7 @@ impl ShardManager {
         let route = ShardRoute::new(shards);
         let sessions: Vec<Session> = (0..shards).map(|_| builder.build()).collect();
         let rec = sessions[0].recorder().map(|_| Recorder::new());
-        ShardManager { route, sessions, bindings: Vec::new(), staged: vec![false; shards], rec }
+        ShardManager { route, sessions, bindings: Vec::new(), rec }
     }
 
     /// The fleet's ownership map.
@@ -349,10 +345,9 @@ impl ShardManager {
         for (shard, d) in per_shard.into_iter().enumerate() {
             // A shard must also flush when it holds groups staged through
             // `ConstraintBuilder::add` since the last apply.
-            if d.is_empty() && !self.staged[shard] {
+            if d.is_empty() && !self.sessions[shard].has_staged() {
                 continue;
             }
-            self.staged[shard] = false;
             dispatched += 1;
             shard_reports[shard] = Some(self.sessions[shard].apply(d));
         }
@@ -562,7 +557,6 @@ impl ConstraintBuilder for ShardManager {
         let local = GroupId::new(self.sessions[owner].group_slots() as u32);
         ConstraintBuilder::add(&mut self.sessions[owner], lhs, rhs);
         self.bindings.push(GroupBinding { shard: owner, local, live: true });
-        self.staged[owner] = true;
     }
 }
 
@@ -613,6 +607,25 @@ mod tests {
         assert!(report.shard_reports[1].is_none(), "shard 1 saw no ops");
         // The untouched shard's solver never ran.
         assert_eq!(fleet.session(1).stats().constraints_added, 0);
+    }
+
+    /// A source staged on a shard through `ConstraintBuilder::add` is
+    /// served after the empty commit that flushes it.
+    #[test]
+    fn empty_delta_after_builder_add_serves_the_new_source() {
+        let (mut fleet, src, v) = fleet_of_two();
+        let mut d = Delta::new();
+        d.add_group(vec![(v[0].into(), v[2].into()), (v[2].into(), v[4].into())]);
+        fleet.apply(d).unwrap();
+        assert_eq!(fleet.points_to(v[4]), &[] as &[TermId]);
+
+        ConstraintBuilder::add(&mut fleet, src, v[0]);
+        let report = fleet.apply(Delta::new()).unwrap();
+        assert!(report.shard_reports[0].is_some(), "the staged shard flushed");
+        assert!(report.shard_reports[1].is_none());
+        for i in [0, 2, 4] {
+            assert_eq!(fleet.points_to(v[i]), &[src], "v{i}");
+        }
     }
 
     #[test]

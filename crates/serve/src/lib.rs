@@ -4,14 +4,10 @@
 //! The paper solves a constraint system once; real clients (editors,
 //! build daemons, alias-query services) solve *almost the same* system
 //! thousands of times. This crate is the serving layer for that workload,
-//! built on two repository primitives:
-//!
-//! - `bane-core`'s **graph revision** (`GraphRevision::validates`): cheap
-//!   proof that solved state is still exact across an edit;
-//! - `bane-core`'s **revalidating least-solution pass**
-//!   (`bane_core::least::Revalidator`): recomputation of only the variables
-//!   an edit actually dirtied, with every clean variable's previous set
-//!   copied byte-for-byte.
+//! built on `bane-core`'s **revalidating least-solution pass**
+//! (`bane_core::least::Revalidator`): recomputation of only the variables
+//! an edit actually dirtied, with every clean variable's previous set
+//! copied byte-for-byte.
 //!
 //! Five modules:
 //!
