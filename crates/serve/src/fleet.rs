@@ -628,6 +628,27 @@ mod tests {
         }
     }
 
+    /// A variable made after the last commit reads empty on every shard,
+    /// same-shard and cross-shard alike, until a commit covers it.
+    #[test]
+    fn variables_created_after_the_last_commit_read_empty() {
+        let (mut fleet, src, v) = fleet_of_two();
+        let mut d = Delta::new();
+        d.add_group(vec![(src.into(), v[0].into())]);
+        d.add_group(vec![(src.into(), v[1].into())]);
+        fleet.apply(d).unwrap();
+        let (y, z) = (fleet.fresh_var(), fleet.fresh_var());
+        assert_eq!(fleet.route().owner(y), 0);
+        assert_eq!(fleet.route().owner(z), 1);
+        for w in [y, z] {
+            assert!(fleet.has_var(w));
+            assert_eq!(fleet.points_to(w), &[] as &[TermId]);
+            assert!(!fleet.alias(w, v[0]), "same- or cross-shard alias of {w:?}");
+            assert!(!fleet.alias(v[1], w), "same- or cross-shard alias of {w:?}");
+        }
+        assert!(fleet.alias(v[0], v[1]));
+    }
+
     #[test]
     fn rejects_cross_shard_groups_atomically() {
         let (mut fleet, src, v) = fleet_of_two();

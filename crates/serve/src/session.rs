@@ -601,23 +601,29 @@ impl Session {
         self.least.solution().expect("no delta applied yet")
     }
 
-    /// The points-to/solution set of `v` (canonicalized first). Empty when
-    /// no delta has been applied.
+    /// The points-to/solution set of `v` (canonicalized first) as of the
+    /// last commit. Empty when no delta has been applied, and for a
+    /// variable created since the last commit.
     pub fn points_to(&mut self, v: Var) -> &[TermId] {
         let r = self.solver.find(v);
-        match self.least.solution() {
-            Some(ls) => ls.get(r),
-            None => &[],
-        }
+        self.committed(r)
     }
 
-    /// Whether the two solution sets intersect (may `a` and `b` alias?).
-    /// `false` when no delta has been applied.
+    /// Whether the two solution sets intersect (may `a` and `b` alias?) as
+    /// of the last commit. `false` when no delta has been applied, and
+    /// when either variable was created since the last commit.
     pub fn alias(&mut self, a: Var, b: Var) -> bool {
         let (ra, rb) = (self.solver.find(a), self.solver.find(b));
-        self.least
-            .solution()
-            .is_some_and(|ls| intersects(ls.get(ra), ls.get(rb)))
+        intersects(self.committed(ra), self.committed(rb))
+    }
+
+    /// The committed solution of representative `r`: empty when no commit
+    /// covers it yet.
+    fn committed(&self, r: Var) -> &[TermId] {
+        match self.least.solution() {
+            Some(ls) if r.index() < ls.len() => ls.get(r),
+            _ => &[],
+        }
     }
 
     /// Whether `v` names a variable of the live system. Reads of any other
@@ -865,6 +871,19 @@ mod tests {
         assert_eq!(report.outcome.dirty_vars, 1, "only the new variable is evaluated");
         assert_eq!(s.points_to(y), &[] as &[TermId]);
         assert_eq!(s.least_solution().len(), s.solver().graph_len());
+    }
+
+    /// A variable made after the last commit reads as its committed
+    /// solution, empty, until the next commit covers it.
+    #[test]
+    fn variables_created_after_the_last_commit_read_empty() {
+        let (mut s, vars, src, _) = chain_session();
+        let y = s.fresh_var();
+        assert!(s.has_var(y));
+        assert_eq!(s.points_to(y), &[] as &[TermId]);
+        assert!(!s.alias(y, vars[0]));
+        assert!(!s.alias(vars[0], y));
+        assert_eq!(s.points_to(vars[0]), &[src]);
     }
 
     /// A source staged through `ConstraintBuilder::add` moves no var–var

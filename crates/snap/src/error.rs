@@ -25,14 +25,14 @@ pub enum SnapError {
     BadEndian,
     /// The file is shorter than its header and section table claim.
     Truncated,
-    /// The FNV-1a integrity checksum in the header does not match the file
+    /// The XXH64 integrity checksum in the header does not match the file
     /// contents.
     ChecksumMismatch,
     /// A structural invariant failed; the message names the first check
     /// that did (section geometry, row bounds, tag values, UTF-8, …).
     Corrupt(&'static str),
-    /// The solved run cannot be represented in format v1 (currently only:
-    /// a constructor of arity above 32).
+    /// The solved run cannot be represented in the snapshot format
+    /// (currently only: a constructor of arity above 32).
     Unsupported(&'static str),
 }
 

@@ -17,7 +17,7 @@ pub const MAGIC: [u8; 8] = *b"BANESNAP";
 /// format carries no in-band migration machinery, and a snapshot is cheap
 /// to regenerate from the solver (see the compatibility policy in
 /// `docs/SNAPSHOT_FORMAT.md` §6).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The endianness marker stored at header offset 12, written in host byte
 /// order. A reader that decodes a different value is running on a host
@@ -31,7 +31,7 @@ pub const HEADER_BYTES: usize = 64;
 /// Byte offset of the [`FORMAT_VERSION`] word within the header.
 pub const VERSION_OFFSET: usize = 8;
 
-/// Byte offset of the FNV-1a checksum word within the header.
+/// Byte offset of the XXH64 checksum word within the header.
 pub const CHECKSUM_OFFSET: usize = 48;
 
 /// Size of one section-table entry in bytes
@@ -87,7 +87,7 @@ pub const SECTIONS: [SectionId; 11] = [
     SectionId::Strs,
 ];
 
-/// Number of sections in a v1 file.
+/// Number of sections in a file.
 pub const SECTION_COUNT: usize = SECTIONS.len();
 
 /// File offset at which section payloads begin (header + section table,
@@ -106,7 +106,7 @@ pub mod expr_tag {
     pub const TERM: u32 = 3;
 }
 
-/// Maximum constructor arity representable by the v1 `variance_bits` word.
+/// Maximum constructor arity representable by the `variance_bits` word.
 pub const MAX_ARITY: usize = 32;
 
 /// Rounds `n` up to the next multiple of [`SECTION_ALIGN`].
@@ -114,29 +114,88 @@ pub const fn align_up(n: usize) -> usize {
     (n + SECTION_ALIGN - 1) & !(SECTION_ALIGN - 1)
 }
 
-/// FNV-1a 64-bit over `bytes` — the integrity checksum stored in the
+/// XXH64 with seed 0 over `bytes` — the integrity checksum stored in the
 /// header, computed over every byte from the end of the header to the end
 /// of the file (section table, payloads, and padding included).
 ///
-/// FNV-1a is not cryptographic; it guards against truncation and bit rot,
-/// not adversaries (see `docs/SNAPSHOT_FORMAT.md` §5).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
-}
+/// This is the fixed-spec xxHash64
+/// (<https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md>): four
+/// independent lanes over 32-byte stripes, then the 8-, 4- and 1-byte tail
+/// steps and the final avalanche. It is not cryptographic; it guards
+/// against truncation and bit rot, not adversaries (see
+/// `docs/SNAPSHOT_FORMAT.md` §5).
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// The FNV-1a 64-bit offset basis: the checksum of zero bytes.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a 64-bit hash `h` over `bytes`, so a writer can fold
-/// the checksum in as it emits the image:
-/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
-#[inline(always)]
-pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    #[inline(always)]
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    h
+    #[inline(always)]
+    fn merge(acc: u64, v: u64) -> u64 {
+        (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    #[inline(always)]
+    fn lane(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().expect("an 8-byte lane"))
+    }
+
+    let mut stripes = bytes.chunks_exact(32);
+    let mut acc = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in &mut stripes {
+            v[0] = round(v[0], lane(&s[0..]));
+            v[1] = round(v[1], lane(&s[8..]));
+            v[2] = round(v[2], lane(&s[16..]));
+            v[3] = round(v[3], lane(&s[24..]));
+        }
+        let mut acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for vi in v {
+            acc = merge(acc, vi);
+        }
+        acc
+    } else {
+        P5
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        acc = (acc ^ round(0, lane(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let w = u32::from_le_bytes(tail[..4].try_into().expect("a 4-byte word"));
+        acc = (acc ^ u64::from(w).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        acc = (acc ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(P2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(P3);
+    acc ^ (acc >> 32)
 }
 
 #[cfg(test)]
@@ -157,17 +216,17 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn fnv_extend_continues_a_prefix() {
-        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
-        assert_eq!(fnv1a64_extend(FNV_OFFSET, b""), fnv1a64(b""));
+    fn xxh64_known_vectors() {
+        // Published XXH64 (seed 0) vectors: the empty input, a lone tail
+        // byte, a short tail, and a 39-byte input that takes one stripe
+        // and then the 4- and 1-byte tail steps.
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
     }
 
     #[test]

@@ -304,47 +304,56 @@ fn intersects(a: &[TermId], b: &[TermId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::write_solver;
+    use crate::writer::{encode_solver, write_image, write_solver};
     use bane_core::prelude::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
 
+    /// A fresh directory per call: tests run concurrently, and one test's
+    /// cleanup must not remove a directory another is writing into.
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("bane-hub-{tag}-{}", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("bane-hub-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    /// A two-shard system under the modulo route: even variables form one
-    /// chain, odd variables another, each fed by its own source.
+    /// Shard `shard` of a two-shard system under the modulo route: even
+    /// variables form one chain, odd variables another, each fed by its
+    /// own source. Returns the solved shard, the fleet's six variables and
+    /// the two sources.
+    fn shard_solver(shard: usize) -> (Solver, Vec<Var>, Vec<TermId>) {
+        let mut solver = Solver::new(SolverConfig::if_online());
+        // Identical registration on both shards: ids align.
+        let c0 = solver.register_nullary("s0");
+        let c1 = solver.register_nullary("s1");
+        let t0 = solver.term(c0, vec![]);
+        let t1 = solver.term(c1, vec![]);
+        let vs: Vec<Var> = (0..6).map(|_| solver.fresh_var()).collect();
+        // Shard k owns vars with index % 2 == k: chain them.
+        let own: Vec<Var> = vs.iter().copied().filter(|v| v.index() % 2 == shard).collect();
+        let src = if shard == 0 { t0 } else { t1 };
+        solver.add(src, own[0]);
+        for w in own.windows(2) {
+            solver.add(w[0], w[1]);
+        }
+        solver.solve();
+        (solver, vs, vec![t0, t1])
+    }
+
+    /// Both shards of [`shard_solver`]'s system, written and reloaded.
     fn two_shard_indexes() -> (Vec<QueryIndex>, Vec<Var>, Vec<TermId>) {
         let dir = temp_dir("pair");
         let mut indexes = Vec::new();
-        let mut vars = Vec::new();
-        let mut srcs = Vec::new();
         for shard in 0..2usize {
-            let mut solver = Solver::new(SolverConfig::if_online());
-            // Identical registration on both shards: ids align.
-            let c0 = solver.register_nullary("s0");
-            let c1 = solver.register_nullary("s1");
-            let t0 = solver.term(c0, vec![]);
-            let t1 = solver.term(c1, vec![]);
-            let vs: Vec<Var> = (0..6).map(|_| solver.fresh_var()).collect();
-            // Shard k owns vars with index % 2 == k: chain them.
-            let own: Vec<Var> = vs.iter().copied().filter(|v| v.index() % 2 == shard).collect();
-            let src = if shard == 0 { t0 } else { t1 };
-            solver.add(src, own[0]);
-            for w in own.windows(2) {
-                solver.add(w[0], w[1]);
-            }
-            solver.solve();
+            let (mut solver, _, _) = shard_solver(shard);
             let path = dir.join(format!("shard{shard}.snap"));
             write_solver(&mut solver, &path, None).unwrap();
             indexes.push(QueryIndex::load(&path).unwrap());
-            if shard == 0 {
-                vars = vs;
-                srcs = vec![t0, t1];
-            }
         }
         std::fs::remove_dir_all(&dir).ok();
+        let (_, vars, srcs) = shard_solver(0);
         (indexes, vars, srcs)
     }
 
@@ -420,6 +429,75 @@ mod tests {
         assert!(view.reachable_sources(vars[1]).is_empty());
         assert!(!view.alias(vars[0], vars[1]));
         assert!(!view.complete());
+    }
+
+    /// Republishing from a corrupted file under live readers fails with
+    /// the load error; the slot keeps its index and generation, and every
+    /// reader keeps getting the previous index's answers.
+    #[test]
+    fn failed_republish_keeps_serving_the_previous_index() {
+        let dir = temp_dir("corrupt");
+        let (mut solver, vars, srcs) = shard_solver(0);
+        let image = encode_solver(&mut solver).unwrap();
+        let good = dir.join("good.snap");
+        write_image(&good, &image, None).unwrap();
+        let hub = SnapshotHub::new(2);
+        assert_eq!(hub.publish_path(0, &good).unwrap(), 1);
+        let published = hub.get(0).unwrap();
+
+        let mut flipped = image.clone();
+        flipped[image.len() / 2] ^= 0x40;
+        let mut stale = image.clone();
+        stale[crate::format::VERSION_OFFSET..crate::format::VERSION_OFFSET + 4]
+            .copy_from_slice(&1u32.to_le_bytes());
+        let truncated = image[..image.len() - 3].to_vec();
+        let corrupt = [
+            ("flipped", flipped),
+            ("stale", stale),
+            ("truncated", truncated),
+        ];
+
+        let (stop, reads) = (AtomicBool::new(false), AtomicU64::new(0));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
+                        let view = hub.view();
+                        assert_eq!(view.generation(0), 1);
+                        for v in vars.iter().step_by(2) {
+                            assert_eq!(view.points_to(*v), &[srcs[0]][..]);
+                        }
+                        assert!(view.alias(vars[0], vars[4]));
+                        let held = hub.get(0).unwrap();
+                        assert_eq!(held.reachable_sources(vars[2]), vec![srcs[0]]);
+                        reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            for (name, bytes) in &corrupt {
+                let path = dir.join(format!("{name}.snap"));
+                std::fs::write(&path, bytes).unwrap();
+                let err = hub.publish_path(0, &path).unwrap_err();
+                let caught_as = match err {
+                    SnapError::ChecksumMismatch => "flipped",
+                    SnapError::BadVersion { found: 1 } => "stale",
+                    SnapError::Truncated => "truncated",
+                    _ => "something else",
+                };
+                assert_eq!(caught_as, *name, "{err}");
+                assert_eq!(hub.generation(0), 1, "{name}");
+                assert!(Arc::ptr_eq(&hub.get(0).unwrap(), &published), "{name}");
+                // The readers keep going after the failed publish.
+                let seen = reads.load(Ordering::Relaxed);
+                while reads.load(Ordering::Relaxed) < seen + 2 {
+                    assert!(Instant::now() < deadline, "readers stalled after {name}");
+                    std::thread::yield_now();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

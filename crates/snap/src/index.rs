@@ -524,7 +524,7 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapError> {
         return Err(SnapError::Truncated);
     }
     let checksum = rd_u64(bytes, CHECKSUM_OFFSET);
-    if format::fnv1a64(&bytes[HEADER_BYTES..]) != checksum {
+    if format::checksum(&bytes[HEADER_BYTES..]) != checksum {
         return Err(SnapError::ChecksumMismatch);
     }
 

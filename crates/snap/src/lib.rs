@@ -9,7 +9,7 @@
 //!
 //! - [`encode_parts`] / [`write_image`]: serialize the least solution,
 //!   the frozen canonical CSR graph, and the term/constructor tables into
-//!   a versioned, checksummed, mmap-friendly file (format v1, specified
+//!   a versioned, checksummed, mmap-friendly file (format v2, specified
 //!   byte-for-byte in `docs/SNAPSHOT_FORMAT.md`), from the solution and
 //!   CSR the caller already holds. [`encode_solver`] / [`write_solver`]
 //!   compute that pair first. Writing is deterministic: the same run always

@@ -1,4 +1,4 @@
-//! The snapshot writer: a solved run → format-v1 bytes.
+//! The snapshot writer: a solved run → snapshot bytes.
 //!
 //! Writing is a pure function of the solved state — no timestamps, no
 //! host identifiers, no randomness — so the same run always produces the
@@ -8,10 +8,10 @@
 //!
 //! [`encode_parts`] is the one encoder. It takes the least solution and the
 //! frozen CSR the caller already holds, sizes the image once from the
-//! section lengths, and writes every section's words straight into it,
-//! folding each byte into the FNV-1a checksum as it goes: one pass over the
-//! image, with no per-section buffers. A serving session hands it the pair
-//! its last commit revalidated, so publishing solves nothing;
+//! section lengths, writes every section's words straight into it with no
+//! per-section buffers, then checksums the finished image with XXH64 and
+//! patches the header. A serving session hands it the pair its last commit
+//! revalidated, so publishing solves nothing;
 //! [`encode_solver`] is the cold path (one least-solution pass, then the
 //! same encoder). [`write_image`] is the only step that touches the
 //! filesystem, so every structural path is testable without temp files.
@@ -27,8 +27,8 @@ use bane_obs::{Counter, Recorder};
 
 use crate::error::SnapError;
 use crate::format::{
-    self, expr_tag, SectionId, CHECKSUM_OFFSET, ENDIAN_MARKER, FNV_OFFSET, FORMAT_VERSION,
-    HEADER_BYTES, MAGIC, MAX_ARITY, PAYLOAD_START, SECTIONS, SECTION_COUNT,
+    self, expr_tag, SectionId, CHECKSUM_OFFSET, ENDIAN_MARKER, FORMAT_VERSION, HEADER_BYTES, MAGIC,
+    MAX_ARITY, PAYLOAD_START, SECTIONS, SECTION_COUNT,
 };
 
 /// Computes the least solution of `solver` and encodes it, with the CSR
@@ -95,39 +95,37 @@ pub fn encode_parts(
     }
     let file_len = cursor;
 
-    let mut out = Vec::with_capacity(file_len);
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, FORMAT_VERSION);
-    push_u32(&mut out, ENDIAN_MARKER);
-    push_u32(&mut out, HEADER_BYTES as u32);
-    push_u32(&mut out, SECTION_COUNT as u32);
-    push_u32(&mut out, match form {
+    let mut img = Image(Vec::with_capacity(file_len));
+    img.bytes(&MAGIC);
+    img.word(FORMAT_VERSION);
+    img.word(ENDIAN_MARKER);
+    img.word(HEADER_BYTES as u32);
+    img.word(SECTION_COUNT as u32);
+    img.word(match form {
         Form::Standard => 0,
         Form::Inductive => 1,
     });
-    push_u32(&mut out, var_count as u32);
-    push_u32(&mut out, terms.len() as u32);
-    push_u32(&mut out, cons.len() as u32);
-    push_u32(&mut out, 0); // reserved
-    push_u32(&mut out, 0); // reserved
-    debug_assert_eq!(out.len(), CHECKSUM_OFFSET);
-    push_u64(&mut out, 0); // checksum, patched below
-    push_u64(&mut out, 0); // reserved
-    debug_assert_eq!(out.len(), HEADER_BYTES);
+    img.word(var_count as u32);
+    img.word(terms.len() as u32);
+    img.word(cons.len() as u32);
+    img.word(0); // reserved
+    img.word(0); // reserved
+    debug_assert_eq!(img.0.len(), CHECKSUM_OFFSET);
+    img.dword(0); // checksum, patched below
+    img.dword(0); // reserved
+    debug_assert_eq!(img.0.len(), HEADER_BYTES);
 
-    // Everything after the header is checksummed as it is written.
-    let mut img = Image { out, hash: FNV_OFFSET };
     for (i, &id) in SECTIONS.iter().enumerate() {
         img.word(id as u32);
         img.word(0); // reserved
         img.dword(offsets[i] as u64);
         img.dword(lens[i] as u64);
     }
-    debug_assert_eq!(img.out.len(), PAYLOAD_START);
+    debug_assert_eq!(img.0.len(), PAYLOAD_START);
 
     let mut section = 0;
     let mut end_section = |img: &mut Image| {
-        debug_assert_eq!(img.out.len(), offsets[section] + lens[section]);
+        debug_assert_eq!(img.0.len(), offsets[section] + lens[section]);
         section += 1;
         img.pad();
     };
@@ -193,10 +191,10 @@ pub fn encode_parts(
     }
     end_section(&mut img);
 
-    let Image { mut out, hash } = img;
+    let Image(mut out) = img;
     debug_assert_eq!(out.len(), file_len);
-    debug_assert_eq!(hash, format::fnv1a64(&out[HEADER_BYTES..]), "folded checksum diverged");
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&hash.to_le_bytes());
+    let sum = format::checksum(&out[HEADER_BYTES..]);
+    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
     Ok(out)
 }
 
@@ -243,19 +241,14 @@ fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The checksummed part of an image under construction: every byte pushed
-/// is folded into the running FNV-1a hash in the same loop, so the copies
-/// overlap the multiply chain the checksum is bound by.
-struct Image {
-    out: Vec<u8>,
-    hash: u64,
-}
+/// An image under construction, sized up front: every write appends
+/// little-endian bytes.
+struct Image(Vec<u8>);
 
 impl Image {
     #[inline(always)]
     fn bytes(&mut self, b: &[u8]) {
-        self.out.extend_from_slice(b);
-        self.hash = format::fnv1a64_extend(self.hash, b);
+        self.0.extend_from_slice(b);
     }
 
     #[inline(always)]
@@ -282,18 +275,9 @@ impl Image {
 
     /// Zero-fills to the next section boundary.
     fn pad(&mut self) {
-        while !self.out.len().is_multiple_of(format::SECTION_ALIGN) {
-            self.bytes(&[0]);
-        }
+        let padded = format::align_up(self.0.len());
+        self.0.resize(padded, 0);
     }
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Identifies the section table entry for `id` in an encoded image —
@@ -331,25 +315,29 @@ mod tests {
         s
     }
 
-    fn assert_checksum_folded(image: &[u8]) {
-        assert_eq!(stored_checksum(image), format::fnv1a64(&image[HEADER_BYTES..]));
+    /// The header's checksum word seals exactly `[HEADER_BYTES, EOF)` of
+    /// the image the encoder returned.
+    fn assert_checksum_seals_the_image(image: &[u8]) {
+        assert_eq!(stored_checksum(image), format::checksum(&image[HEADER_BYTES..]));
     }
 
     #[test]
-    fn folded_checksum_matches_a_second_pass_on_an_empty_solver() {
+    fn stored_checksum_seals_the_image_of_an_empty_solver() {
         let mut s = Solver::new(SolverConfig::if_online());
         s.solve();
-        assert_checksum_folded(&encode_solver(&mut s).unwrap());
+        assert_checksum_seals_the_image(&encode_solver(&mut s).unwrap());
     }
 
     #[test]
-    fn folded_checksum_matches_a_second_pass_on_a_standard_form_run() {
-        assert_checksum_folded(&encode_solver(&mut solved(SolverConfig::sf_online())).unwrap());
+    fn stored_checksum_seals_the_image_of_a_standard_form_run() {
+        let image = encode_solver(&mut solved(SolverConfig::sf_online())).unwrap();
+        assert_checksum_seals_the_image(&image);
     }
 
     #[test]
-    fn folded_checksum_matches_a_second_pass_on_an_inductive_form_run() {
-        assert_checksum_folded(&encode_solver(&mut solved(SolverConfig::if_online())).unwrap());
+    fn stored_checksum_seals_the_image_of_an_inductive_form_run() {
+        let image = encode_solver(&mut solved(SolverConfig::if_online())).unwrap();
+        assert_checksum_seals_the_image(&image);
     }
 
     #[test]

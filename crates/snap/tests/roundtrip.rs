@@ -190,7 +190,7 @@ fn valid_image() -> Vec<u8> {
 /// reaches the *structural* validator rather than stopping at the
 /// checksum line.
 fn reseal(bytes: &mut [u8]) {
-    let sum = format::fnv1a64(&bytes[format::HEADER_BYTES..]);
+    let sum = format::checksum(&bytes[format::HEADER_BYTES..]);
     bytes[format::CHECKSUM_OFFSET..format::CHECKSUM_OFFSET + 8]
         .copy_from_slice(&sum.to_le_bytes());
 }
@@ -219,6 +219,47 @@ fn corrupted_header_fields_are_rejected() {
     assert!(matches!(
         QueryIndex::from_bytes(&bad),
         Err(bane_snap::SnapError::ChecksumMismatch)
+    ));
+}
+
+/// The committed golden fixture (`tests/golden.rs` pins its bytes).
+fn fixture() -> Vec<u8> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tiny.snap");
+    std::fs::read(path).unwrap()
+}
+
+/// Every single-bit flip in the checksummed range `[64, EOF)` of the
+/// fixture is caught by the checksum. The checks that run before it read
+/// only the header, which a flip there leaves intact.
+#[test]
+fn every_single_bit_flip_after_the_header_fails_the_checksum() {
+    let image = fixture();
+    assert!(QueryIndex::from_bytes(&image).is_ok());
+    let mut bad = image.clone();
+    for byte in format::HEADER_BYTES..image.len() {
+        for bit in 0..8 {
+            bad[byte] ^= 1 << bit;
+            assert!(
+                matches!(
+                    QueryIndex::from_bytes(&bad),
+                    Err(bane_snap::SnapError::ChecksumMismatch)
+                ),
+                "flip of bit {bit} in byte {byte} was not caught"
+            );
+            bad[byte] ^= 1 << bit;
+        }
+    }
+}
+
+/// A file stamped with the previous format version (FNV-1a checksum) is
+/// rejected by version, before its checksum is read.
+#[test]
+fn version_1_files_are_rejected_by_version() {
+    let mut old = fixture();
+    old[format::VERSION_OFFSET..format::VERSION_OFFSET + 4].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        QueryIndex::from_bytes(&old),
+        Err(bane_snap::SnapError::BadVersion { found: 1 })
     ));
 }
 
