@@ -21,7 +21,7 @@ use bane_cfront::ast::Program;
 use bane_core::cycle::SfSearchPolicy;
 use bane_core::prelude::*;
 use bane_core::scc::SccStats;
-use bane_obs::{Counter, Phase, Recorder, RunReport};
+use bane_obs::{Counter, Phase, RunReport};
 use bane_points_to::andersen;
 use std::time::{Duration, Instant};
 
@@ -136,6 +136,37 @@ pub struct Measurement {
     pub inconsistencies: u64,
 }
 
+impl Measurement {
+    /// Reads the measurement off a solved `solver`: `time` is the whole
+    /// resolution time, least-solution pass included, and `ls_time` that
+    /// pass's share. `oracle_aliased` is the solver's own count, which is
+    /// zero unless it was built with an oracle partition.
+    fn of(
+        solver: &Solver,
+        kind: ExperimentKind,
+        finished: bool,
+        time: Duration,
+        ls_time: Duration,
+    ) -> Measurement {
+        let stats = solver.stats();
+        Measurement {
+            kind,
+            finished,
+            edges: solver.census().total_edges(),
+            peak_edges: stats.new_edges(),
+            live_vars: solver.node_counts().live_vars,
+            work: stats.work,
+            time,
+            ls_time,
+            vars_eliminated: stats.vars_eliminated,
+            oracle_aliased: stats.oracle_aliased,
+            mean_search_visits: stats.mean_search_visits(),
+            set_vars: solver.vars_created(),
+            inconsistencies: stats.inconsistencies,
+        }
+    }
+}
+
 /// Runs `kind` on `program`.
 ///
 /// `partition` is required for the oracle experiments; `limit` bounds the
@@ -178,22 +209,7 @@ pub fn run_one(
             Duration::ZERO
         };
 
-        let stats = *solver.stats();
-        let m = Measurement {
-            kind,
-            finished,
-            edges: solver.census().total_edges(),
-            peak_edges: stats.new_edges(),
-            live_vars: solver.node_counts().live_vars,
-            work: stats.work,
-            time: solve_time + ls_time,
-            ls_time,
-            vars_eliminated: stats.vars_eliminated,
-            oracle_aliased: stats.oracle_aliased,
-            mean_search_visits: stats.mean_search_visits(),
-            set_vars: solver.vars_created(),
-            inconsistencies: stats.inconsistencies,
-        };
+        let m = Measurement::of(&solver, kind, finished, solve_time + ls_time, ls_time);
         best = Some(match best {
             Some(prev) if prev.time <= m.time => prev,
             _ => m,
@@ -259,27 +275,11 @@ pub fn run_observed(
         Duration::ZERO
     };
 
-    let stats = *solver.stats();
     if let Some(rec) = solver.obs() {
-        rec.set(Counter::CensusPeakEdges, stats.new_edges());
+        rec.set(Counter::CensusPeakEdges, solver.stats().new_edges());
     }
     let report = solver.run_report(label).expect("recording was enabled above");
-    let m = Measurement {
-        kind,
-        finished,
-        edges: solver.census().total_edges(),
-        peak_edges: stats.new_edges(),
-        live_vars: solver.node_counts().live_vars,
-        work: stats.work,
-        time: solve_time + ls_time,
-        ls_time,
-        vars_eliminated: stats.vars_eliminated,
-        oracle_aliased: stats.oracle_aliased,
-        mean_search_visits: stats.mean_search_visits(),
-        set_vars: solver.vars_created(),
-        inconsistencies: stats.inconsistencies,
-    };
-    (m, report)
+    (Measurement::of(&solver, kind, finished, solve_time + ls_time, ls_time), report)
 }
 
 /// Static (experiment-independent) data about one benchmark (Table 1's
@@ -322,23 +322,9 @@ pub fn analyze_bench(name: &str, program: &Program) -> (BenchInfo, Partition, Me
     let ls_start = Instant::now();
     let _ls = solver.least_solution();
     let ls_time = ls_start.elapsed();
-    let stats = *solver.stats();
     let partition = solver.scc_partition();
-    let measurement = Measurement {
-        kind: ExperimentKind::IfOnline,
-        finished: true,
-        edges: solver.census().total_edges(),
-        peak_edges: stats.new_edges(),
-        live_vars: solver.node_counts().live_vars,
-        work: stats.work,
-        time: solve_time + ls_time,
-        ls_time,
-        vars_eliminated: stats.vars_eliminated,
-        oracle_aliased: 0,
-        mean_search_visits: stats.mean_search_visits(),
-        set_vars: solver.vars_created(),
-        inconsistencies: stats.inconsistencies,
-    };
+    let measurement =
+        Measurement::of(&solver, ExperimentKind::IfOnline, true, solve_time + ls_time, ls_time);
 
     // Initial graph: atomize without closure.
     let mut initial = Solver::new(SolverConfig::if_plain());
@@ -362,771 +348,6 @@ pub fn analyze_bench(name: &str, program: &Program) -> (BenchInfo, Partition, Me
     (info, partition, measurement)
 }
 
-/// A query workload mix for the snapshot-serving throughput table
-/// (`bane-snap`'s `QueryIndex`; see docs/SERVING.md).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapQueryMix {
-    /// `points_to(v)` only — one rep lookup plus a zero-copy span slice.
-    PointsTo,
-    /// `alias(a, b)` only — two lookups plus a sorted-span intersection.
-    Alias,
-    /// `reachable_sources(v)` only — the DFS route over the CSR sections.
-    Reachable,
-    /// Round-robin over the three kinds, as a serving front end sees them.
-    Mixed,
-}
-
-impl SnapQueryMix {
-    /// All four mixes, in table order.
-    pub const ALL: [SnapQueryMix; 4] =
-        [SnapQueryMix::PointsTo, SnapQueryMix::Alias, SnapQueryMix::Reachable, SnapQueryMix::Mixed];
-
-    /// The mix's snapshot-table name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapQueryMix::PointsTo => "points-to",
-            SnapQueryMix::Alias => "alias",
-            SnapQueryMix::Reachable => "reachable",
-            SnapQueryMix::Mixed => "mixed",
-        }
-    }
-}
-
-/// One (mix × thread count) row of the snapshot query-throughput table.
-#[derive(Clone, Copy, Debug)]
-pub struct SnapQueryRow {
-    /// The query workload mix.
-    pub mix: SnapQueryMix,
-    /// Reader threads sharing the one loaded index.
-    pub threads: usize,
-    /// Queries executed per timed pass.
-    pub queries: u64,
-    /// Wall time for one pass of `queries` queries (best of reps).
-    pub wall_ns: u128,
-    /// `queries / wall`, in queries per second.
-    pub queries_per_sec: f64,
-    /// Whether every pass's answer fingerprint equaled the one computed
-    /// from the live `LeastSolution` over the same deterministic workload
-    /// (must always be `true`).
-    pub answers_match: bool,
-}
-
-/// Snapshot serving measurements for one benchmark: write → cold load →
-/// concurrent query throughput, validated against the live least solution.
-#[derive(Clone, Debug)]
-pub struct SnapScaling {
-    /// Variables covered by the snapshot (`QueryIndex::var_count`).
-    pub var_count: usize,
-    /// Snapshot file size in bytes.
-    pub file_bytes: u64,
-    /// Time to serialize the solved run to disk.
-    pub write_ns: u128,
-    /// Cold `QueryIndex` load from the file (best across the per-thread-count
-    /// reloads; includes validation per docs/SNAPSHOT_FORMAT.md §5).
-    pub cold_load_ns: u128,
-    /// `snap.loads` over the whole experiment (one cold load per thread
-    /// count).
-    pub snap_loads: u64,
-    /// `snap.queries` over the whole experiment (all rows, all reps).
-    pub snap_queries: u64,
-    /// One row per thread count × mix.
-    pub rows: Vec<SnapQueryRow>,
-}
-
-/// The SplitMix64 finalizer: the query workloads and their answer
-/// fingerprints are derived from it, so a workload is a pure function of
-/// the query index — reproducible across threads, reps, and processes.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-const SNAP_QUERY_SEED: u64 = 0xba9e_5eed_0000_0007;
-
-/// The pseudo-random word driving query `q`'s operands.
-fn snap_query_word(q: u64) -> u64 {
-    mix64(SNAP_QUERY_SEED ^ q.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
-/// Which query kind index `q` runs under `mix`.
-fn snap_query_kind(mix: SnapQueryMix, q: u64) -> SnapQueryMix {
-    match mix {
-        SnapQueryMix::Mixed => SnapQueryMix::ALL[(q % 3) as usize],
-        fixed => fixed,
-    }
-}
-
-/// Order-independent fingerprint of a set-valued answer: length and the two
-/// endpoints, mixed with the query index. O(1) so it cannot distort the
-/// throughput of the O(1) `points_to` path it is checking.
-fn snap_fp_set(q: u64, len: usize, first: Option<TermId>, last: Option<TermId>) -> u64 {
-    let f = first.map_or(0, |t| t.raw() as u64 + 1);
-    let l = last.map_or(0, |t| t.raw() as u64 + 1);
-    mix64(q ^ mix64(len as u64 ^ mix64(f ^ mix64(l))))
-}
-
-/// Runs query `q` of `mix` against the loaded snapshot index.
-fn snap_index_fp(
-    index: &bane_snap::QueryIndex,
-    mix: SnapQueryMix,
-    q: u64,
-    n: u64,
-    scratch: &mut bane_snap::QueryScratch,
-    reach: &mut Vec<TermId>,
-) -> u64 {
-    let r = snap_query_word(q);
-    match snap_query_kind(mix, q) {
-        SnapQueryMix::PointsTo => {
-            let s = index.points_to(Var::new((r % n) as usize));
-            snap_fp_set(q, s.len(), s.first().copied(), s.last().copied())
-        }
-        SnapQueryMix::Alias => {
-            let a = Var::new((r % n) as usize);
-            let b = Var::new((mix64(r) % n) as usize);
-            mix64(q ^ (index.alias(a, b) as u64 + 1))
-        }
-        _ => {
-            index.reachable_sources_with(Var::new((r % n) as usize), scratch, reach);
-            snap_fp_set(q, reach.len(), reach.first().copied(), reach.last().copied())
-        }
-    }
-}
-
-/// Runs the same query `q` against the live least solution. `reachable`
-/// answers are `LS(v)` by equation (1), which is exactly what makes this a
-/// reference for the snapshot's independent DFS route.
-fn snap_live_fp(ls: &LeastSolution, mix: SnapQueryMix, q: u64, n: u64) -> u64 {
-    let r = snap_query_word(q);
-    match snap_query_kind(mix, q) {
-        SnapQueryMix::Alias => {
-            let a = ls.get(Var::new((r % n) as usize));
-            let b = ls.get(Var::new((mix64(r) % n) as usize));
-            let alias = a.iter().any(|t| b.binary_search(t).is_ok());
-            mix64(q ^ (alias as u64 + 1))
-        }
-        _ => {
-            let s = ls.get(Var::new((r % n) as usize));
-            snap_fp_set(q, s.len(), s.first().copied(), s.last().copied())
-        }
-    }
-}
-
-/// Runs the snapshot serving experiment on `program`: solve once, encode
-/// the least solution it computed as a `bane-snap` snapshot in a temporary
-/// file, drop the solver, then for each thread count cold-load a fresh
-/// `QueryIndex` and drive each query mix from that many scoped reader
-/// threads — timing queries per second and checking every pass's answer
-/// fingerprint against one precomputed from the live `LeastSolution` over
-/// the identical deterministic workload.
-pub fn run_snap_queries(
-    program: &Program,
-    thread_counts: &[usize],
-    reps: usize,
-) -> SnapScaling {
-    use bane_snap::{encode_parts, write_image, LoadMode, QueryIndex, QueryScratch};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    let reps = reps.max(1);
-    let mut analysis = andersen::analyze(program, SolverConfig::if_online());
-    let ls = analysis.solver.least_solution();
-
-    static UNIQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join("bane-bench-snap");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!(
-        "queries-{}-{}.snap",
-        std::process::id(),
-        UNIQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let start = Instant::now();
-    let solver = &analysis.solver;
-    let image = encode_parts(solver.config().form, solver.least_csr(), &ls, solver.terms(), solver.cons())
-        .expect("encoding the solution just computed");
-    let file_bytes = write_image(&path, &image, None).expect("snapshot write to the temp dir");
-    let write_ns = start.elapsed().as_nanos();
-    drop(image);
-    drop(analysis); // serving is from the file alone — no live solver
-
-    let var_count = ls.len();
-    let n = var_count.max(1) as u64;
-    // Enough queries per pass for a stable clock even on tiny inputs
-    // (operands wrap modulo `n`, so small programs just see repeats).
-    let queries = n.max(1 << 12);
-
-    // Reference fingerprints, once per mix, from the live least solution.
-    let expected: Vec<u64> = SnapQueryMix::ALL
-        .iter()
-        .map(|&mix| {
-            (0..queries).fold(0u64, |acc, q| acc.wrapping_add(snap_live_fp(&ls, mix, q, n)))
-        })
-        .collect();
-    drop(ls);
-
-    let rec = Recorder::new();
-    let mut cold_load_ns = u128::MAX;
-    let mut rows = Vec::new();
-    for &threads in thread_counts {
-        // A cold load per thread count: the table's claim is about a
-        // freshly loaded index, not a warm shared one.
-        let start = Instant::now();
-        let index = QueryIndex::load_with(&path, LoadMode::Auto, Some(&rec))
-            .expect("reloading the snapshot this experiment just wrote");
-        cold_load_ns = cold_load_ns.min(start.elapsed().as_nanos());
-        for (m, &mix) in SnapQueryMix::ALL.iter().enumerate() {
-            let mut wall_ns = u128::MAX;
-            let mut answers_match = true;
-            for _ in 0..reps {
-                let sum = AtomicU64::new(0);
-                let (index, sum) = (&index, &sum);
-                let start = Instant::now();
-                std::thread::scope(|scope| {
-                    for w in 0..threads as u64 {
-                        scope.spawn(move || {
-                            // Reader `w` answers a contiguous slice of the
-                            // workload.
-                            let t = threads as u64;
-                            let (lo, hi) = (queries * w / t, queries * (w + 1) / t);
-                            let mut scratch = QueryScratch::new();
-                            let mut reach = Vec::new();
-                            let mut local = 0u64;
-                            for q in lo..hi {
-                                local = local.wrapping_add(snap_index_fp(
-                                    index,
-                                    mix,
-                                    q,
-                                    n,
-                                    &mut scratch,
-                                    &mut reach,
-                                ));
-                            }
-                            sum.fetch_add(local, Ordering::Relaxed);
-                        });
-                    }
-                });
-                wall_ns = wall_ns.min(start.elapsed().as_nanos());
-                answers_match &= sum.load(Ordering::Relaxed) == expected[m];
-            }
-            rec.add(Counter::SnapQueries, queries * reps as u64);
-            let queries_per_sec = queries as f64 / (wall_ns.max(1) as f64 / 1e9);
-            rows.push(SnapQueryRow {
-                mix,
-                threads,
-                queries,
-                wall_ns,
-                queries_per_sec,
-                answers_match,
-            });
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-    SnapScaling {
-        var_count,
-        file_bytes,
-        write_ns,
-        cold_load_ns,
-        snap_loads: rec.get(Counter::SnapLoads),
-        snap_queries: rec.get(Counter::SnapQueries),
-        rows,
-    }
-}
-
-/// One delta step's row of the incremental re-solve table (`bane-serve`'s
-/// `Session` vs a from-scratch solve of the same live system; see
-/// docs/INCREMENTAL.md).
-#[derive(Clone, Copy, Debug)]
-pub struct IncrementalRow {
-    /// Step index within the [`DeltaScript`](bane_synth::delta::DeltaScript).
-    pub step: usize,
-    /// Step kind (`grow-vars`, `add-group`, `edit-group`, `remove-group`).
-    pub kind: &'static str,
-    /// Whether the session took the monotone live path (vs canonical replay).
-    pub monotone: bool,
-    /// Wall time of `Session::apply` for this delta (one shot — applying
-    /// mutates the session, so this is not a best-of-reps figure).
-    pub apply_ns: u128,
-    /// From-scratch solve + least-solution of the same live system (best of
-    /// reps).
-    pub scratch_ns: u128,
-    /// Condensation levels the revalidation pass recomputed.
-    pub dirty_levels: usize,
-    /// Total condensation levels after this step.
-    pub total_levels: usize,
-    /// Variables recomputed by the revalidation pass.
-    pub dirty_vars: usize,
-    /// Variables whose retained solution spans were reused verbatim.
-    pub reused_vars: usize,
-    /// Whether the session's answers matched the from-scratch reference —
-    /// per-variable set equality always, full byte parity (stats, census,
-    /// least-solution buffers) after non-monotone steps. Must always be
-    /// `true`.
-    pub matches_reference: bool,
-    /// Wall time of the identical delta on an `ApplyMode::Fast` twin
-    /// session (one shot): in-place provenance repair for non-monotone
-    /// steps, or replay fallback when the step invalidated a recorded
-    /// cycle collapse.
-    pub fast_apply_ns: u128,
-    /// Whether the Fast twin repaired this step in place (always `false`
-    /// for monotone steps, which take the same live path on both tiers).
-    pub fast_repaired: bool,
-    /// Whether the Fast twin's per-variable solution sets equal the
-    /// from-scratch reference's — the Fast contract; must always be
-    /// `true`. Byte parity of stats is deliberately *not* claimed here:
-    /// a repaired solver's counters reflect the retract/refire history.
-    pub fast_set_equal: bool,
-}
-
-/// The headline one-function-edit measurement on a real suite benchmark:
-/// the grouped session's localized re-solve vs a from-scratch solve of the
-/// edited system.
-#[derive(Clone, Copy, Debug)]
-pub struct IncrementalEdit {
-    /// Wall time of the `Session::apply` carrying the group edit.
-    pub apply_ns: u128,
-    /// From-scratch solve + least-solution of the edited system (best of
-    /// reps).
-    pub scratch_ns: u128,
-    /// Condensation levels the revalidation recomputed.
-    pub dirty_levels: usize,
-    /// Total condensation levels.
-    pub total_levels: usize,
-    /// Variables recomputed.
-    pub dirty_vars: usize,
-    /// Variables reused.
-    pub reused_vars: usize,
-    /// Whether stats, census, and least-solution bytes all matched the
-    /// from-scratch reference (must always be `true` — this is the
-    /// `ApplyMode::Exact` session's contract).
-    pub byte_identical: bool,
-    /// Wall time of the identical edit on an `ApplyMode::Fast` twin
-    /// session (one shot).
-    pub fast_apply_ns: u128,
-    /// Whether the Fast twin repaired the edit in place (`false` = it
-    /// invalidated a recorded collapse and fell back to replay).
-    pub fast_repaired: bool,
-    /// Whether the Fast twin's per-variable sets equal the reference's
-    /// (must always be `true`).
-    pub fast_set_equal: bool,
-    /// Whether the Fast twin was *also* byte-identical to the reference.
-    /// Honestly `false` after an in-place repair — the repaired solver's
-    /// stats record the retract/refire history, not a replay; `true` only
-    /// when the edit fell back (a Fast replay is observable-neutral).
-    pub fast_byte_identical: bool,
-}
-
-/// Incremental serving measurements: the suite one-function edit plus a
-/// scripted edit history.
-#[derive(Clone, Debug)]
-pub struct IncrementalScaling {
-    /// Constraint groups the suite benchmark was split into.
-    pub groups: usize,
-    /// Wall time to build and solve the grouped session from the benchmark's
-    /// full constraint system (the cold baseline every delta is amortizing).
-    pub initial_solve_ns: u128,
-    /// The one-function-edit measurement.
-    pub suite_edit: IncrementalEdit,
-    /// Seed of the generated [`DeltaScript`](bane_synth::delta::DeltaScript).
-    pub script_seed: u64,
-    /// Steps in the script.
-    pub script_steps: usize,
-    /// `serve.delta.applied` over the script session.
-    pub deltas_applied: u64,
-    /// `serve.delta.monotone` over the script session.
-    pub deltas_monotone: u64,
-    /// `serve.delta.replayed` over the script session.
-    pub deltas_replayed: u64,
-    /// `serve.fast.repaired` over the Fast twin session — non-monotone
-    /// steps repaired in place.
-    pub fast_repaired: u64,
-    /// `serve.fast.fallback` over the Fast twin session — non-monotone
-    /// steps that invalidated a collapse and replayed (the fallback rate
-    /// is `fast_fallbacks / (fast_repaired + fast_fallbacks)`).
-    pub fast_fallbacks: u64,
-    /// `serve.fast.retracted-edges` over the Fast twin session.
-    pub fast_retracted_edges: u64,
-    /// Σ reused / Σ (reused + dirty) variables across the script's
-    /// revalidation passes — the fraction of per-variable least-solution
-    /// work the retained spans saved.
-    pub reuse_ratio: f64,
-    /// One row per script step.
-    pub rows: Vec<IncrementalRow>,
-}
-
-/// Times one from-scratch solve + least-solution pass of `problem`,
-/// returning the best wall time over `reps` and the last run's solver.
-fn scratch_solve(problem: &Problem, reps: usize) -> (u128, Solver) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let p = problem.clone();
-        let start = Instant::now();
-        let mut s = Solver::from_problem(p);
-        s.solve();
-        let _ls = s.least_solution();
-        best = best.min(start.elapsed().as_nanos());
-        out = Some(s);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
-/// Runs the incremental serving experiment on `program`: split its Andersen
-/// constraint system into `groups` groups behind a `bane-serve`
-/// [`Session`](bane_serve::Session), edit one mid-program group (the
-/// "re-parse one function" workload), then drive a seeded
-/// [`DeltaScript`](bane_synth::delta::DeltaScript) of `script_steps` steps
-/// through a second session — comparing, after every delta, the session's
-/// apply time against a from-scratch solve of the identical live system and
-/// recording how many condensation levels the revalidation actually
-/// recomputed.
-///
-/// Correctness is *checked*, not assumed: each row carries a
-/// `matches_reference` verdict (set equality per variable; full byte parity
-/// after non-monotone deltas, where the session replays the canonical
-/// sequence).
-pub fn run_incremental(
-    program: &Program,
-    groups: usize,
-    script_steps: usize,
-    script_seed: u64,
-    reps: usize,
-) -> IncrementalScaling {
-    use bane_serve::{ApplyMode, Delta, GroupId, SessionBuilder};
-    use bane_synth::delta::{generate_delta_script, DeltaScriptConfig, DeltaStep, ScriptBindings};
-
-    // --- Suite part: the one-function edit on a real benchmark. ---
-    let mut problem = Problem::new(SolverConfig::if_online());
-    andersen::generate(program, &mut problem);
-    let total_constraints = problem.constraints().len();
-    let reference_problem = problem.clone();
-    let fast_problem = problem.clone();
-
-    let start = Instant::now();
-    let mut session = SessionBuilder::new().build_grouped(problem, groups);
-    let initial_solve_ns = start.elapsed().as_nanos();
-    let groups = session.group_slots();
-    let mut fast_session =
-        SessionBuilder::new().apply_mode(ApplyMode::Fast).build_grouped(fast_problem, groups);
-
-    let g = GroupId::new(groups as u32 / 2);
-    let original = session.group(g).expect("mid-program group is live").to_vec();
-    let edited = original[..original.len().saturating_sub(1)].to_vec();
-    let mut delta = Delta::new();
-    delta.edit_group(g, edited.clone());
-    let fast_delta = delta.clone();
-    let start = Instant::now();
-    let report = session.apply(delta);
-    let apply_ns = start.elapsed().as_nanos();
-    let start = Instant::now();
-    let fast_report = fast_session.apply(fast_delta);
-    let fast_apply_ns = start.elapsed().as_nanos();
-
-    // The edited system, from scratch: splice the replacement into the
-    // group's slice of the canonical constraint order.
-    let mut ref_problem = reference_problem;
-    let mut constraints = ref_problem.split_off_constraints(0);
-    let per = total_constraints.div_ceil(groups);
-    let lo = g.index() * per;
-    let hi = (lo + per).min(constraints.len());
-    constraints.splice(lo..hi, edited);
-    for (l, r) in constraints {
-        ref_problem.add(l, r);
-    }
-    let (scratch_ns, mut reference) = scratch_solve(&ref_problem, reps);
-    let byte_identical = session.stats() == reference.stats()
-        && session.census() == reference.census()
-        && *session.least_solution() == reference.least_solution();
-    let n_vars = reference.graph_len();
-    let ref_ls = reference.least_solution();
-    let fast_set_equal = (0..n_vars)
-        .map(Var::new)
-        .all(|v| fast_session.points_to(v) == ref_ls.get(reference.find(v)));
-    let fast_byte_identical = fast_session.stats() == reference.stats()
-        && fast_session.census() == reference.census()
-        && *fast_session.least_solution() == ref_ls;
-    let suite_edit = IncrementalEdit {
-        apply_ns,
-        scratch_ns,
-        dirty_levels: report.outcome.dirty_levels,
-        total_levels: report.outcome.total_levels,
-        dirty_vars: report.outcome.dirty_vars,
-        reused_vars: report.outcome.reused_vars,
-        byte_identical,
-        fast_apply_ns,
-        fast_repaired: fast_report.fast_repaired,
-        fast_set_equal,
-        fast_byte_identical,
-    };
-
-    // --- Script part: a seeded edit history on a fresh session. ---
-    let script = generate_delta_script(&DeltaScriptConfig::sized(script_steps, script_seed));
-    script.validate().expect("generated script validates");
-    let mut session = SessionBuilder::new().obs(true).build();
-    let mut fast_session =
-        SessionBuilder::new().apply_mode(ApplyMode::Fast).obs(true).build();
-    let mut bind = ScriptBindings::bind(&mut session, &script);
-    ScriptBindings::bind(&mut fast_session, &script);
-    let mut ref_problem = Problem::new(SolverConfig::if_online());
-    let mut ref_bind = ScriptBindings::bind(&mut ref_problem, &script);
-    let mut ref_groups: Vec<Option<Vec<(SetExpr, SetExpr)>>> = Vec::new();
-    let mut slot_map: Vec<GroupId> = Vec::new();
-
-    let mut rows = Vec::with_capacity(script.steps.len());
-    let (mut reused_total, mut dirty_total) = (0u64, 0u64);
-    for (i, step) in script.steps.iter().enumerate() {
-        let mut delta = Delta::new();
-        let (kind, nonmonotone) = match step {
-            DeltaStep::GrowVars(n) => {
-                delta.add_vars(*n);
-                let base = bind.vars.len();
-                bind.vars.extend((0..*n as usize).map(|k| Var::new(base + k)));
-                ref_bind.grow(&mut ref_problem, *n);
-                ("grow-vars", false)
-            }
-            DeltaStep::AddGroup(cs) => {
-                delta.add_group(bind.constraints(cs));
-                ref_groups.push(Some(ref_bind.constraints(cs)));
-                ("add-group", false)
-            }
-            DeltaStep::EditGroup { slot, constraints } => {
-                delta.edit_group(slot_map[*slot], bind.constraints(constraints));
-                ref_groups[*slot] = Some(ref_bind.constraints(constraints));
-                ("edit-group", true)
-            }
-            DeltaStep::RemoveGroup { slot } => {
-                delta.remove_group(slot_map[*slot]);
-                ref_groups[*slot] = None;
-                ("remove-group", true)
-            }
-        };
-        let fast_delta = delta.clone();
-        let start = Instant::now();
-        let report = session.apply(delta);
-        let apply_ns = start.elapsed().as_nanos();
-        let start = Instant::now();
-        let fast_report = fast_session.apply(fast_delta);
-        let fast_apply_ns = start.elapsed().as_nanos();
-        if let DeltaStep::AddGroup(_) = step {
-            slot_map.push(report.new_groups[0]);
-        }
-
-        let mut p = ref_problem.clone();
-        for group in ref_groups.iter().flatten() {
-            for &(l, r) in group {
-                p.add(l, r);
-            }
-        }
-        let (scratch_ns, mut reference) = scratch_solve(&p, reps);
-        let ref_ls = reference.least_solution();
-        let mut matches = bind
-            .vars
-            .iter()
-            .all(|&v| session.points_to(v) == ref_ls.get(reference.find(v)));
-        if nonmonotone {
-            matches &= session.stats() == reference.stats()
-                && session.census() == reference.census()
-                && *session.least_solution() == ref_ls;
-        }
-        let fast_set_equal = bind
-            .vars
-            .iter()
-            .all(|&v| fast_session.points_to(v) == ref_ls.get(reference.find(v)));
-        reused_total += report.outcome.reused_vars as u64;
-        dirty_total += report.outcome.dirty_vars as u64;
-        rows.push(IncrementalRow {
-            step: i,
-            kind,
-            monotone: report.monotone,
-            apply_ns,
-            scratch_ns,
-            dirty_levels: report.outcome.dirty_levels,
-            total_levels: report.outcome.total_levels,
-            dirty_vars: report.outcome.dirty_vars,
-            reused_vars: report.outcome.reused_vars,
-            matches_reference: matches,
-            fast_apply_ns,
-            fast_repaired: fast_report.fast_repaired,
-            fast_set_equal,
-        });
-    }
-
-    let rec = session.recorder().expect("obs enabled above");
-    let fast_rec = fast_session.recorder().expect("obs enabled above");
-    let touched = reused_total + dirty_total;
-    IncrementalScaling {
-        groups,
-        initial_solve_ns,
-        suite_edit,
-        script_seed,
-        script_steps: script.steps.len(),
-        deltas_applied: rec.get(Counter::ServeDeltaApplied),
-        deltas_monotone: rec.get(Counter::ServeDeltaMonotone),
-        deltas_replayed: rec.get(Counter::ServeDeltaReplayed),
-        fast_repaired: fast_rec.get(Counter::ServeFastRepaired),
-        fast_fallbacks: fast_rec.get(Counter::ServeFastFallback),
-        fast_retracted_edges: fast_rec.get(Counter::ServeFastRetractedEdges),
-        reuse_ratio: if touched == 0 { 0.0 } else { reused_total as f64 / touched as f64 },
-        rows,
-    }
-}
-
-/// One shard width's row of the fleet serving table: the same partitioned
-/// [`DeltaScript`](bane_synth::delta::DeltaScript) driven through a
-/// [`ShardManager`](bane_serve::ShardManager) of `shards` sessions.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetRow {
-    /// Sessions in the fleet.
-    pub shards: usize,
-    /// Total wall time of every `ShardManager::apply` across the script
-    /// (one shot — applying mutates the fleet).
-    pub apply_ns: u128,
-    /// `fleet.delta.routed` — per-shard deltas dispatched by the router.
-    pub deltas_routed: u64,
-    /// `fleet.vars.fanout` — variables fanned to every shard to keep ids
-    /// globally aligned.
-    pub vars_fanout: u64,
-    /// Largest per-shard `constraints_added` — the loaded end of the
-    /// ownership map's balance.
-    pub max_shard_constraints: u64,
-    /// Smallest per-shard `constraints_added`.
-    pub min_shard_constraints: u64,
-    /// Whether every variable's routed `points_to` answer matched the
-    /// unsharded baseline session after the full script (must always be
-    /// `true`).
-    pub matches_single: bool,
-}
-
-/// Fleet serving measurements: one partitioned edit history over shard
-/// widths 1/2/4, against an unsharded single-session baseline.
-#[derive(Clone, Debug)]
-pub struct FleetScaling {
-    /// Seed of the generated script.
-    pub script_seed: u64,
-    /// Steps in the script.
-    pub script_steps: usize,
-    /// Ownership classes the generator confined each group to (every
-    /// measured width divides this).
-    pub partitions: u32,
-    /// Total `Session::apply` wall time of the unsharded baseline over the
-    /// same script.
-    pub single_apply_ns: u128,
-    /// One row per shard width.
-    pub rows: Vec<FleetRow>,
-}
-
-/// Runs the fleet serving experiment: generate one partitioned
-/// [`DeltaScript`](bane_synth::delta::DeltaScript) (`partitions = 4`, so
-/// ownership composes over every width in {1, 2, 4}), drive it through an
-/// unsharded baseline [`Session`](bane_serve::Session) and then through a
-/// [`ShardManager`](bane_serve::ShardManager) at each width, timing the
-/// apply path and recording the router's `fleet.*` counters plus the
-/// per-shard constraint balance.
-///
-/// Correctness is *checked*, not assumed: each row carries a
-/// `matches_single` verdict comparing every variable's routed answer
-/// against the baseline after the full script.
-pub fn run_fleet(script_steps: usize, script_seed: u64) -> FleetScaling {
-    use bane_serve::{Delta, GroupId, SessionBuilder, ShardManager};
-    use bane_synth::delta::{generate_delta_script, DeltaScriptConfig, DeltaStep, ScriptBindings};
-
-    const PARTITIONS: u32 = 4;
-    const WIDTHS: [usize; 3] = [1, 2, 4];
-    let script =
-        generate_delta_script(&DeltaScriptConfig::sharded(script_steps, script_seed, PARTITIONS));
-    script.validate().expect("generated script validates");
-    let builder = SessionBuilder::new().obs(true);
-
-    /// Builds the next step's delta against `bind`/`slots`, keeping both
-    /// maps current (the same closure shape drives baseline and fleet).
-    fn step_delta(
-        step: &DeltaStep,
-        bind: &mut ScriptBindings,
-        slots: &[GroupId],
-    ) -> (Delta, bool) {
-        let mut d = Delta::new();
-        let mut adds_group = false;
-        match step {
-            DeltaStep::GrowVars(n) => {
-                d.add_vars(*n);
-                let base = bind.vars.len();
-                bind.vars.extend((0..*n as usize).map(|k| Var::new(base + k)));
-            }
-            DeltaStep::AddGroup(cs) => {
-                d.add_group(bind.constraints(cs));
-                adds_group = true;
-            }
-            DeltaStep::EditGroup { slot, constraints } => {
-                d.edit_group(slots[*slot], bind.constraints(constraints));
-            }
-            DeltaStep::RemoveGroup { slot } => {
-                d.remove_group(slots[*slot]);
-            }
-        }
-        (d, adds_group)
-    }
-
-    // Unsharded baseline: one session fed the whole script.
-    let mut single = builder.build();
-    let mut sbind = ScriptBindings::bind(&mut single, &script);
-    let mut single_slots: Vec<GroupId> = Vec::new();
-    let mut single_apply_ns = 0u128;
-    for step in &script.steps {
-        let (d, adds_group) = step_delta(step, &mut sbind, &single_slots);
-        let start = Instant::now();
-        let report = single.apply(d);
-        single_apply_ns += start.elapsed().as_nanos();
-        if adds_group {
-            single_slots.push(report.new_groups[0]);
-        }
-    }
-
-    let mut rows = Vec::with_capacity(WIDTHS.len());
-    for shards in WIDTHS {
-        let mut fleet = ShardManager::new(&builder, shards);
-        let mut bind = ScriptBindings::bind(&mut fleet, &script);
-        let mut slots: Vec<GroupId> = Vec::new();
-        let mut apply_ns = 0u128;
-        for (i, step) in script.steps.iter().enumerate() {
-            let (d, adds_group) = step_delta(step, &mut bind, &slots);
-            let start = Instant::now();
-            let report = fleet.apply(d).unwrap_or_else(|e| {
-                panic!("step {i}: partitioned script must route over {shards} shards: {e}")
-            });
-            apply_ns += start.elapsed().as_nanos();
-            if adds_group {
-                slots.push(report.new_groups[0]);
-            }
-        }
-        let matches_single = bind
-            .vars
-            .iter()
-            .all(|&v| fleet.points_to(v) == single.points_to(v).to_vec().as_slice());
-        let (mut min_c, mut max_c) = (u64::MAX, 0u64);
-        for k in 0..shards {
-            let c = fleet.session(k).stats().constraints_added;
-            min_c = min_c.min(c);
-            max_c = max_c.max(c);
-        }
-        let rec = fleet.recorder().expect("obs enabled above");
-        rows.push(FleetRow {
-            shards,
-            apply_ns,
-            deltas_routed: rec.get(Counter::FleetDeltaRouted),
-            vars_fanout: rec.get(Counter::FleetVarsFanout),
-            max_shard_constraints: max_c,
-            min_shard_constraints: min_c,
-            matches_single,
-        });
-    }
-
-    FleetScaling {
-        script_seed,
-        script_steps: script.steps.len(),
-        partitions: PARTITIONS,
-        single_apply_ns,
-        rows,
-    }
-}
-
 /// Measures the fraction of collapsible cycle variables that online
 /// elimination actually removed (Figure 11's y-axis).
 pub fn detection_fraction(m: &Measurement, info: &BenchInfo) -> f64 {
@@ -1146,23 +367,7 @@ pub fn run_sf_increasing(program: &Program, limit: u64) -> Measurement {
     andersen::generate(program, &mut solver);
     let start = Instant::now();
     let finished = solver.solve_limited(limit);
-    let time = start.elapsed();
-    let stats = *solver.stats();
-    Measurement {
-        kind: ExperimentKind::SfOnline,
-        finished,
-        edges: solver.census().total_edges(),
-        peak_edges: stats.new_edges(),
-        live_vars: solver.node_counts().live_vars,
-        work: stats.work,
-        time,
-        ls_time: Duration::ZERO,
-        vars_eliminated: stats.vars_eliminated,
-        oracle_aliased: 0,
-        mean_search_visits: stats.mean_search_visits(),
-        set_vars: solver.vars_created(),
-        inconsistencies: stats.inconsistencies,
-    }
+    Measurement::of(&solver, ExperimentKind::SfOnline, finished, start.elapsed(), Duration::ZERO)
 }
 
 #[cfg(test)]
@@ -1261,111 +466,6 @@ mod tests {
         assert_eq!(report.counter("census.peak-edges"), Some(m.peak_edges));
         assert!(report.counter("gen.constraints").unwrap_or(0) > 0);
         assert!(report.counter("gen.locations").unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn snap_query_rows_match_live_answers() {
-        let program = sample_program();
-        let scaling = run_snap_queries(&program, &[1, 2], 1);
-        assert_eq!(scaling.rows.len(), SnapQueryMix::ALL.len() * 2);
-        assert!(scaling.var_count > 0);
-        assert!(scaling.file_bytes > 0);
-        assert!(scaling.write_ns > 0 && scaling.cold_load_ns > 0);
-        assert_eq!(scaling.snap_loads, 2, "one cold load per thread count");
-        let total: u64 = scaling.rows.iter().map(|r| r.queries).sum();
-        assert_eq!(scaling.snap_queries, total);
-        for row in &scaling.rows {
-            assert!(
-                row.answers_match,
-                "{} at {} threads diverged from the live least solution",
-                row.mix.name(),
-                row.threads
-            );
-            assert!(row.queries > 0 && row.wall_ns > 0);
-            assert!(row.queries_per_sec > 0.0);
-        }
-    }
-
-    #[test]
-    fn incremental_rows_match_reference_and_stay_level_local() {
-        let program = sample_program();
-        let scaling = run_incremental(&program, 4, 14, 0xba9e, 1);
-        assert!(scaling.groups >= 2);
-        assert!(scaling.initial_solve_ns > 0);
-        assert_eq!(scaling.rows.len(), scaling.script_steps);
-        assert_eq!(scaling.deltas_applied, scaling.script_steps as u64);
-        assert_eq!(
-            scaling.deltas_monotone + scaling.deltas_replayed,
-            scaling.deltas_applied
-        );
-        assert!((0.0..=1.0).contains(&scaling.reuse_ratio), "{}", scaling.reuse_ratio);
-
-        let edit = scaling.suite_edit;
-        assert!(edit.byte_identical, "suite edit diverged from the from-scratch solve");
-        assert!(edit.apply_ns > 0 && edit.scratch_ns > 0);
-        assert!(edit.dirty_levels <= edit.total_levels);
-        assert!(edit.fast_apply_ns > 0);
-        assert!(edit.fast_set_equal, "Fast suite edit broke set equality");
-        if edit.fast_repaired {
-            assert!(
-                !edit.fast_byte_identical,
-                "a repaired solver's stats cannot match a replay's"
-            );
-        } else {
-            assert!(edit.fast_byte_identical, "a Fast fallback replay is observable-neutral");
-        }
-
-        let mut nonmono = 0u64;
-        for row in &scaling.rows {
-            assert!(row.matches_reference, "step {} ({}) diverged", row.step, row.kind);
-            assert!(row.dirty_levels <= row.total_levels, "step {}", row.step);
-            assert!(row.apply_ns > 0 && row.scratch_ns > 0);
-            assert_eq!(
-                row.monotone,
-                matches!(row.kind, "grow-vars" | "add-group"),
-                "step {} path classification",
-                row.step
-            );
-            assert!(row.fast_apply_ns > 0, "step {}", row.step);
-            assert!(row.fast_set_equal, "step {}: Fast twin broke set equality", row.step);
-            assert!(!(row.fast_repaired && row.monotone), "step {}", row.step);
-            nonmono += u64::from(!row.monotone);
-        }
-        assert_eq!(
-            scaling.fast_repaired + scaling.fast_fallbacks,
-            nonmono,
-            "each non-monotone step repairs or falls back"
-        );
-    }
-
-    #[test]
-    fn fleet_rows_match_the_unsharded_baseline() {
-        let scaling = run_fleet(12, 0xba9e);
-        assert_eq!(scaling.partitions, 4);
-        assert_eq!(scaling.script_steps, 12);
-        assert!(scaling.single_apply_ns > 0);
-        assert_eq!(
-            scaling.rows.iter().map(|r| r.shards).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        for row in &scaling.rows {
-            assert!(row.matches_single, "{} shards diverged from the baseline", row.shards);
-            assert!(row.apply_ns > 0, "{} shards", row.shards);
-            assert!(row.deltas_routed > 0, "{} shards", row.shards);
-            assert!(
-                row.min_shard_constraints <= row.max_shard_constraints,
-                "{} shards",
-                row.shards
-            );
-        }
-        // Fanned variables scale with the width; a 1-shard fleet still
-        // routes every delta to its only session.
-        assert!(scaling.rows[2].vars_fanout >= scaling.rows[0].vars_fanout);
-        assert_eq!(
-            scaling.rows[0].max_shard_constraints,
-            scaling.rows[0].min_shard_constraints,
-            "one shard holds everything"
-        );
     }
 
     #[test]

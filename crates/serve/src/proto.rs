@@ -65,6 +65,7 @@
 
 use std::io::{self, Read, Write};
 
+use bane_core::least::RevalidateOutcome;
 use bane_core::prelude::*;
 use bane_core::Variance;
 use bane_util::idx::Idx;
@@ -315,6 +316,32 @@ fn render_alias(hit: bool) -> Response {
     Response::Ok(if hit { "yes" } else { "no" }.to_string())
 }
 
+/// The `stats` reply.
+fn render_stats(constraints: u64, work: u64, redundant: u64) -> Response {
+    Response::Ok(format!("constraints={constraints} work={work} redundant={redundant}"))
+}
+
+/// The `levels` reply for the last re-solve's `outcome`.
+fn render_levels(o: RevalidateOutcome) -> Response {
+    Response::Ok(format!(
+        "dirty-levels={}/{} dirty-vars={} reused={}",
+        o.dirty_levels, o.total_levels, o.dirty_vars, o.reused_vars
+    ))
+}
+
+/// The `err` reply for a staged `drop` or `edit` of `g` when the server has
+/// no live group `g` (`live` is false) or `pending` already drops it: either
+/// way the batch would name a removed group when it commits.
+fn check_group(live: bool, pending: &Delta, g: GroupId) -> Result<(), Response> {
+    if !live {
+        return Err(Response::Err(format!("no such group {g}")));
+    }
+    if pending.ops().contains(&DeltaOp::RemoveGroup(g)) {
+        return Err(Response::Err(format!("group {g} already dropped in this batch")));
+    }
+    Ok(())
+}
+
 /// The `err` reply for the first of `vars` that `known` rejects: a read
 /// naming a variable the server never created is a client error, not a
 /// crash.
@@ -427,10 +454,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("staged group ({n} constraints)"))
         }
         Request::EditGroup(g, constraints) => {
-            if session.group(g).is_none() {
-                return Response::Err(format!("no such group {g}"));
-            }
-            if let Err(e) = check_constraints(session.solver(), pending, &constraints) {
+            if let Err(e) = check_group(session.group(g).is_some(), pending, g)
+                .and_then(|()| check_constraints(session.solver(), pending, &constraints))
+            {
                 return e;
             }
             let n = constraints.len();
@@ -438,8 +464,8 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("staged edit {g} ({n} constraints)"))
         }
         Request::RemoveGroup(g) => {
-            if session.group(g).is_none() {
-                return Response::Err(format!("no such group {g}"));
+            if let Err(e) = check_group(session.group(g).is_some(), pending, g) {
+                return e;
             }
             pending.remove_group(g);
             Response::Ok(format!("staged drop {g}"))
@@ -474,18 +500,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
         },
         Request::Stats => {
             let s = session.stats();
-            Response::Ok(format!(
-                "constraints={} work={} redundant={}",
-                s.constraints_added, s.work, s.redundant
-            ))
+            render_stats(s.constraints_added, s.work, s.redundant)
         }
-        Request::Levels => {
-            let o = session.last_outcome();
-            Response::Ok(format!(
-                "dirty-levels={}/{} dirty-vars={} reused={}",
-                o.dirty_levels, o.total_levels, o.dirty_vars, o.reused_vars
-            ))
-        }
+        Request::Levels => render_levels(session.last_outcome()),
         Request::Snapshot(path) => {
             match session.publish_snapshot(std::path::Path::new(&path)) {
                 Ok(bytes) => Response::Ok(format!("snapshot {bytes} bytes")),
@@ -542,10 +559,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             Response::Ok(format!("staged group ({n} constraints)"))
         }
         Request::EditGroup(g, constraints) => {
-            if fleet.group(g).is_none() {
-                return Response::Err(format!("no such group {g}"));
-            }
-            if let Err(e) = check_constraints(fleet.session(0).solver(), pending, &constraints) {
+            if let Err(e) = check_group(fleet.group(g).is_some(), pending, g)
+                .and_then(|()| check_constraints(fleet.session(0).solver(), pending, &constraints))
+            {
                 return e;
             }
             let n = constraints.len();
@@ -553,8 +569,8 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             Response::Ok(format!("staged edit {g} ({n} constraints)"))
         }
         Request::RemoveGroup(g) => {
-            if fleet.group(g).is_none() {
-                return Response::Err(format!("no such group {g}"));
+            if let Err(e) = check_group(fleet.group(g).is_some(), pending, g) {
+                return e;
             }
             pending.remove_group(g);
             Response::Ok(format!("staged drop {g}"))
@@ -609,9 +625,7 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
                 work += s.work;
                 redundant += s.redundant;
             }
-            Response::Ok(format!(
-                "constraints={constraints} work={work} redundant={redundant}"
-            ))
+            render_stats(constraints, work, redundant)
         }
         Request::Levels => {
             Response::Err("levels is per-shard on a fleet: use route <k> levels".to_string())
@@ -645,18 +659,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
                 },
                 Request::Stats => {
                     let s = fleet.session(shard).stats();
-                    Response::Ok(format!(
-                        "constraints={} work={} redundant={}",
-                        s.constraints_added, s.work, s.redundant
-                    ))
+                    render_stats(s.constraints_added, s.work, s.redundant)
                 }
-                Request::Levels => {
-                    let o = fleet.session(shard).last_outcome();
-                    Response::Ok(format!(
-                        "dirty-levels={}/{} dirty-vars={} reused={}",
-                        o.dirty_levels, o.total_levels, o.dirty_vars, o.reused_vars
-                    ))
-                }
+                Request::Levels => render_levels(fleet.session(shard).last_outcome()),
                 Request::Snapshot(path) => {
                     match fleet.shard_snapshot(shard, std::path::Path::new(&path)) {
                         Ok(bytes) => Response::Ok(format!("snapshot {bytes} bytes")),
@@ -728,24 +733,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
 /// # Errors
 ///
 /// Propagates I/O errors from the framing layer.
-pub fn serve(session: &mut Session, mut input: impl Read, mut output: impl Write) -> io::Result<()> {
-    let mut pending = Delta::new();
-    while let Some(line) = read_frame(&mut input)? {
-        let response = match parse_request(&line) {
-            Ok(req) => {
-                let quit = req == Request::Quit;
-                let resp = execute(session, &mut pending, req);
-                write_frame(&mut output, &resp.render())?;
-                if quit {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => Response::Err(e),
-        };
-        write_frame(&mut output, &response.render())?;
-    }
-    Ok(())
+pub fn serve(session: &mut Session, input: impl Read, output: impl Write) -> io::Result<()> {
+    serve_with(input, output, |pending, req| execute(session, pending, req))
 }
 
 /// Serves framed requests from `input` against a [`ShardManager`] fleet —
@@ -756,26 +745,30 @@ pub fn serve(session: &mut Session, mut input: impl Read, mut output: impl Write
 /// # Errors
 ///
 /// Propagates I/O errors from the framing layer.
-pub fn serve_fleet(
-    fleet: &mut ShardManager,
+pub fn serve_fleet(fleet: &mut ShardManager, input: impl Read, output: impl Write) -> io::Result<()> {
+    serve_with(input, output, |pending, req| execute_fleet(fleet, pending, req))
+}
+
+/// The serving loop behind [`serve`] and [`serve_fleet`]: `exec` runs each
+/// parsed request against the one pending delta.
+fn serve_with(
     mut input: impl Read,
     mut output: impl Write,
+    mut exec: impl FnMut(&mut Delta, Request) -> Response,
 ) -> io::Result<()> {
     let mut pending = Delta::new();
     while let Some(line) = read_frame(&mut input)? {
-        let response = match parse_request(&line) {
+        let (response, quit) = match parse_request(&line) {
             Ok(req) => {
                 let quit = req == Request::Quit;
-                let resp = execute_fleet(fleet, &mut pending, req);
-                write_frame(&mut output, &resp.render())?;
-                if quit {
-                    return Ok(());
-                }
-                continue;
+                (exec(&mut pending, req), quit)
             }
-            Err(e) => Response::Err(e),
+            Err(e) => (Response::Err(e), false),
         };
         write_frame(&mut output, &response.render())?;
+        if quit {
+            break;
+        }
     }
     Ok(())
 }
@@ -904,7 +897,9 @@ mod tests {
     /// Reads and staged frames naming ids the server never created answer
     /// `err`, on the session path, the fleet path and the routed read, and
     /// the server keeps serving afterwards. Variables staged by `vars` count
-    /// as known before they are committed.
+    /// as known before they are committed. A `drop` or `edit` of a group the
+    /// pending batch already drops is an `err` too, and the ops staged
+    /// before it still commit.
     #[test]
     fn out_of_range_reads_are_typed_errors() {
         // `None` marks a commit, whose reply differs between a session and
@@ -934,6 +929,11 @@ mod tests {
             ("group t3 <= v3", Some("ok staged group (1 constraints)")),
             ("commit", None),
             ("points-to v3", Some("ok {t3}")),
+            ("drop g1", Some("ok staged drop g1")),
+            ("drop g1", Some("err group g1 already dropped in this batch")),
+            ("edit g1 v3 <= v1", Some("err group g1 already dropped in this batch")),
+            ("commit", None),
+            ("points-to v3", Some("ok {}")),
         ];
         let check = |replies: Vec<String>| {
             for ((frame, want), got) in frames.iter().zip(&replies) {

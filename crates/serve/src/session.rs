@@ -49,7 +49,7 @@ use bane_core::least::{LeastSolution, RevalidateOutcome, Revalidator};
 use bane_core::prelude::*;
 use bane_obs::{Counter, Phase, Recorder};
 use bane_util::idx::Idx;
-use bane_util::{FxHashMap, FxHashSet};
+use bane_util::FxHashMap;
 
 use crate::delta::{Delta, DeltaOp, GroupId};
 use crate::proto::intersects;
@@ -186,10 +186,6 @@ pub struct ApplyReport {
     pub fast_repaired: bool,
     /// How localized the least-solution revalidation was.
     pub outcome: RevalidateOutcome,
-    /// Distinct canonical variables reachable from the batch's constraint
-    /// endpoints — the session's *prediction* of the dirty frontier, useful
-    /// for logging (the real dirty set is `outcome.dirty_vars`).
-    pub touched_vars: usize,
 }
 
 /// A long-lived constraint-solving session: a solved system that accepts
@@ -442,7 +438,6 @@ impl Session {
 
         let mut outcome = self.revalidate(!delta.is_empty());
         outcome.fell_back = fell_back;
-        let touched_vars = self.touched_of(&delta);
 
         if let Some(rec) = &self.rec {
             rec.add(Counter::ServeDeltaApplied, 1);
@@ -466,7 +461,7 @@ impl Session {
         }
 
         self.last_outcome = outcome;
-        ApplyReport { new_groups, monotone, fast_repaired, outcome, touched_vars }
+        ApplyReport { new_groups, monotone, fast_repaired, outcome }
     }
 
     /// Rebuilds the live solver from scratch over the canonical sequence,
@@ -567,29 +562,6 @@ impl Session {
     /// solver (variables created outside a batch are not yet covered).
     fn covered(&self) -> bool {
         self.least.solution().is_some_and(|ls| ls.len() == self.solver.graph_len())
-    }
-
-    /// Distinct canonical variables among `delta`'s constraint endpoints
-    /// (post-solve representatives).
-    fn touched_of(&mut self, delta: &Delta) -> usize {
-        let mut vars = FxHashSet::default();
-        for op in delta.ops() {
-            let constraints = match op {
-                DeltaOp::AddGroup { constraints } | DeltaOp::EditGroup { constraints, .. } => {
-                    constraints
-                }
-                _ => continue,
-            };
-            for &(lhs, rhs) in constraints {
-                self.solver.terms().vars_of(lhs, &mut vars);
-                self.solver.terms().vars_of(rhs, &mut vars);
-            }
-        }
-        let mut reps = FxHashSet::default();
-        for v in vars {
-            reps.insert(self.solver.find(v));
-        }
-        reps.len()
     }
 
     /// The least solution of the current system.
@@ -829,7 +801,6 @@ mod tests {
         d.edit_group(g, edited.clone());
         let report = s.apply(d);
         assert!(!report.monotone);
-        assert!(report.touched_vars > 0);
 
         // Reference: identical canonical sequence from scratch.
         let mut p = Problem::new(SolverConfig::if_online());

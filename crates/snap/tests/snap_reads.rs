@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bane_core::prelude::*;
+use bane_obs::{Counter, Recorder};
 use bane_points_to::andersen;
 use bane_snap::{write_solver, LoadMode, QueryIndex, QueryScratch};
 use bane_synth::suite::{suite_program, PAPER_SUITE};
@@ -35,8 +36,9 @@ fn povray_snapshot_serves_identically_at_every_thread_count() {
 
     // Cold load from the file for every thread count: the acceptance
     // criterion is about a *loaded* index, not a shared warm one.
+    let rec = Recorder::new();
     for threads in THREADS {
-        let index = QueryIndex::load_with(&path, LoadMode::Auto, None).unwrap();
+        let index = QueryIndex::load_with(&path, LoadMode::Auto, Some(&rec)).unwrap();
         let n = index.var_count();
         assert_eq!(n, ls.len());
         let mismatches = AtomicUsize::new(0);
@@ -79,6 +81,7 @@ fn povray_snapshot_serves_identically_at_every_thread_count() {
             "{threads} reader threads: snapshot answers diverged from live LS"
         );
     }
+    assert_eq!(rec.get(Counter::SnapLoads), THREADS.len() as u64, "one per cold load");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

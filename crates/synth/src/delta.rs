@@ -8,8 +8,8 @@
 //! endpoints are **spec indices** ([`EndpointSpec`]), resolved against a
 //! concrete engine's identifiers only by [`ScriptBindings`] — so the same
 //! script can drive a live incremental session *and* the from-scratch
-//! reference it is checked against (the equivalence property tests and the
-//! `incremental` bench section both do exactly that).
+//! reference it is checked against (the equivalence property tests do
+//! exactly that).
 //!
 //! Generation is deterministic: equal [`DeltaScriptConfig`]s produce
 //! identical scripts. Structural invariants (edits and removals only name

@@ -7,7 +7,7 @@
 //! Table 1 suite names and AST-node sizes. [`delta`] extends the simulation
 //! to *edit histories* — seeded [`DeltaScript`]s of group additions,
 //! removals, and rewrites that drive `bane-serve`'s incremental equivalence
-//! tests and the `incremental` bench section.
+//! tests.
 //!
 //! # Examples
 //!
