@@ -19,15 +19,15 @@
 //! [`Solver::least_solution`] runs it cold. A long-lived caller (a
 //! `bane-serve` session) runs it through a [`Revalidator`], which keeps the
 //! previous pass's solution and [`CsrSnapshot`] as a *baseline* and reuses
-//! every span the change cannot have touched.
+//! every set the change cannot have touched.
 //!
 //! The pass first freezes the solved graph into a [`CsrSnapshot`]
 //! (canonical, sorted rows in layout order), then walks the canonical
 //! variables in **layout order** — creation order for standard form,
-//! increasing variable order for inductive form — and appends each set to a
-//! fresh arena in that order:
+//! increasing variable order for inductive form — and gives each one a span
+//! of a fresh arena, appending new sets in that order:
 //!
-//! - a **clean** variable copies its span from the baseline. Clean means: it
+//! - a **clean** variable takes its set from the baseline. Clean means: it
 //!   was canonical in the baseline, its source and predecessor rows equal
 //!   the baseline CSR's, and none of its predecessors is dirty;
 //! - every other variable is **dirty** and is merged from its own sources
@@ -39,20 +39,40 @@
 //! canonical predecessor, else `1 + max` over its predecessors) for the
 //! [`RevalidateOutcome`] figures.
 //!
+//! # Shared sets
+//!
+//! In inductive form most sets equal one predecessor's set: every variable
+//! downstream of a program's one giant SCC repeats the SCC's set. A union
+//! is at least as large as each of its inputs, so when `|LS(v)|` equals the
+//! size of v's largest predecessor span `L` (the first such span in CSR row
+//! order), `LS(v)` *is* `L`, and v's span is set to `L`'s range instead of
+//! appending a copy. The dirty path decides it before any merge writes:
+//! with a single predecessor run and no sources it holds structurally,
+//! otherwise a galloping subset test of every other input against `L`
+//! decides it. A clean variable decides it on sizes alone: it aliases the
+//! first predecessor span as large as its baseline set, if there is one,
+//! and appends the baseline set otherwise. So the arena is a pool of sorted,
+//! distinct sets, and spans may share a range. Standard form appends every
+//! set.
+//!
 //! # Why a baseline pass is byte-identical to the cold pass
 //!
 //! Each set is canonical — sorted and deduplicated — so its content does not
-//! depend on how it was produced. A clean variable's baseline span holds
+//! depend on how it was produced. A clean variable's baseline set is
 //! exactly what a cold pass would compute: its rows are unchanged and,
-//! inductively along the layout, so are its predecessors' sets. The arena
-//! layout is fixed by the layout order, which does not depend on the
-//! baseline, and the span rule is the same on both paths (standard form
-//! appends a span for every canonical variable, including the degenerate
-//! empty `(k, k)`; inductive form leaves an empty set at `(0, 0)`).
-//! Identical contents in identical order is identical bytes, which is what
-//! `LeastSolution`'s `PartialEq` (a raw-buffer comparison) pins in the
-//! tests. Nothing assumes the baseline is a lower bound, so constraint
-//! removal (a replayed fresh solver) takes the same path as growth.
+//! inductively along the layout, so are its predecessors' sets, spans and
+//! sizes. Both paths therefore make the same sharing decision: the cold
+//! pass aliases exactly when `|LS(v)|` equals the largest predecessor span's
+//! size, and the first predecessor span of size `|LS(v)|` is that first
+//! largest span, at the same range on both paths. The arena layout is fixed
+//! by the layout order, which does not depend on the baseline, and the span
+//! rule is the same on both paths (standard form appends a span for every
+//! canonical variable, including the degenerate empty `(k, k)`; inductive
+//! form leaves an empty set at `(0, 0)`). Identical contents in identical
+//! order is identical bytes, which is what `LeastSolution`'s `PartialEq` (a
+//! raw-buffer comparison) pins in the tests. Nothing assumes the baseline is
+//! a lower bound, so constraint removal (a replayed fresh solver) takes the
+//! same path as growth.
 
 use bane_util::idx::Idx;
 use crate::expr::{TermId, Var};
@@ -381,13 +401,47 @@ fn gallop_lower_bound(slice: &[TermId], target: TermId) -> usize {
     lo + slice[lo..hi].partition_point(|&x| x < target)
 }
 
+/// Whether every element of `small` is in `big`, both sorted and distinct:
+/// one exponential search per element of `small` over the unconsumed tail
+/// of `big`, so `O(small · log big)` comparisons.
+fn is_subset(small: &[TermId], big: &[TermId]) -> bool {
+    if small.len() > big.len() {
+        return false;
+    }
+    let mut cur = 0usize;
+    for &s in small {
+        cur += gallop_lower_bound(&big[cur..], s);
+        if big.get(cur) != Some(&s) {
+            return false;
+        }
+        cur += 1;
+    }
+    true
+}
+
+/// The span `LS(v)` shares when it equals one of v's predecessor sets: the
+/// first largest of `runs` (v's non-empty predecessor spans in CSR row
+/// order), if `srcs` and every other run are subsets of it. `None` means
+/// the union is strictly larger than every input and must be merged.
+fn covering_run(srcs: &[TermId], runs: &[(u32, u32)], arena: &[TermId]) -> Option<(u32, u32)> {
+    let big = runs.iter().copied().reduce(|a, b| if b.1 - b.0 > a.1 - a.0 { b } else { a })?;
+    let set = &arena[big.0 as usize..big.1 as usize];
+    let covered = is_subset(srcs, set)
+        && runs.iter().all(|&(s, e)| (s, e) == big || is_subset(&arena[s as usize..e as usize], set));
+    covered.then_some(big)
+}
+
 /// The least solution of a solved constraint system: for every variable, the
 /// sorted set of source terms it contains.
 ///
-/// Sets are stored back to back in one arena with per-variable spans rather
-/// than as a `Vec` per variable: building the solution then costs one
-/// amortized allocation total instead of one per variable, and reading
-/// consecutive sets walks contiguous memory.
+/// Sets are stored in one arena with per-variable spans rather than as a
+/// `Vec` per variable: building the solution then costs one amortized
+/// allocation total instead of one per variable. The arena is a pool of
+/// sorted, distinct sets, and spans may share a range: in inductive form a
+/// variable whose set equals a predecessor's points at that set instead of
+/// copying it (see the [module docs](self)). So
+/// [`total_entries`](LeastSolution::total_entries), the logical size, can
+/// exceed [`stored_entries`](LeastSolution::stored_entries).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeastSolution {
     rep: Vec<Var>,
@@ -430,15 +484,21 @@ impl LeastSolution {
         self.rep.is_empty()
     }
 
-    /// Sum of set sizes over canonical variables.
+    /// Sum of set sizes over canonical variables: the logical size, however
+    /// many sets share storage.
     pub fn total_entries(&self) -> usize {
+        self.spans.iter().map(|&(s, e)| (e - s) as usize).sum()
+    }
+
+    /// Entries the arena stores: each shared set counts once.
+    pub fn stored_entries(&self) -> usize {
         self.arena.len()
     }
 
     /// The raw storage: `(rep, arena, spans)`. `rep[i]` is variable `i`'s
     /// canonical representative, and `spans[i]` indexes `arena` with
     /// representative `i`'s sorted set (`(0, 0)` or an empty range when the
-    /// set is empty or `i` is collapsed).
+    /// set is empty or `i` is collapsed). Spans may share a range.
     pub fn raw_parts(&self) -> (&[Var], &[TermId], &[(u32, u32)]) {
         (&self.rep, &self.arena, &self.spans)
     }
@@ -456,7 +516,7 @@ pub struct RevalidateOutcome {
     pub dirty_levels: usize,
     /// Canonical variables whose set was recomputed.
     pub dirty_vars: usize,
-    /// Canonical variables whose baseline span was copied verbatim.
+    /// Canonical variables whose set was taken from the baseline.
     pub reused_vars: usize,
     /// Whether a fast-apply session abandoned in-place repair and replayed
     /// the canonical sequence instead. Always `false` from the pass itself —
@@ -520,7 +580,7 @@ impl LeastPass {
     /// [`freeze`](LeastPass::freeze) just built.
     ///
     /// With a `baseline` — the solution and CSR of an earlier pass — every
-    /// clean variable copies its baseline span instead of merging. The
+    /// clean variable takes its baseline set instead of merging. The
     /// result is byte-identical to a cold pass either way (see the
     /// [module docs](self)).
     pub fn evaluate(
@@ -575,10 +635,18 @@ impl LeastPass {
             if let Some((base, _)) = reuse {
                 let (s, e) = base.spans[i];
                 let set = &base.arena[s as usize..e as usize];
-                // Same span rule as the merge below: inductive form leaves
-                // an empty set at `(0, 0)`.
-                if !set.is_empty() || form == Form::Standard {
+                // Same span rules as the dirty path below: inductive form
+                // leaves an empty set at `(0, 0)` and shares the first
+                // predecessor span as large as the set. The predecessors
+                // are clean, so their sets, and sizes, are the baseline's.
+                if form == Form::Standard {
                     append(set, arena, spans, v);
+                } else if !set.is_empty() {
+                    let len = e - s;
+                    match preds.iter().map(|u| spans[u.index()]).find(|&(ps, pe)| pe - ps == len) {
+                        Some(shared) => spans[i] = shared,
+                        None => append(set, arena, spans, v),
+                    }
                 }
                 continue;
             }
@@ -605,16 +673,16 @@ impl LeastPass {
             // The inputs are sorted runs (each span is sorted and distinct,
             // as is the frozen `srcs` row), so small arities merge linearly
             // instead of re-sorting. The common cases by far are zero or one
-            // predecessor run.
+            // predecessor run; a lone run is shared, not copied.
             match (srcs.is_empty(), runs.as_slice()) {
                 (true, []) => {}
                 (false, []) => append(srcs, arena, spans, v),
-                (true, &[(s, e)]) => {
-                    let start = u32::try_from(arena.len()).expect("least-solution arena overflow");
-                    arena.extend_from_within(s as usize..e as usize);
-                    spans[i] = (start, start + (e - s));
-                }
+                (true, &[run]) => spans[i] = run,
                 _ => {
+                    if let Some(shared) = covering_run(srcs, runs, arena) {
+                        spans[i] = shared;
+                        continue;
+                    }
                     // Two or more input runs: iterated pairwise merging,
                     // O(total · log runs) with no sort. The first round
                     // reads straight out of the arena (and `srcs`); later
@@ -714,7 +782,7 @@ impl Revalidator {
     }
 
     /// Step two of a run ([`LeastPass::evaluate`]): computes the new
-    /// solution, copying every clean span from the previous run's.
+    /// solution, taking every clean set from the previous run's.
     pub fn evaluate(&mut self, form: Form) -> RevalidateOutcome {
         let baseline = self.valid.then_some((&self.spare_ls, &self.spare_csr));
         let outcome = self.pass.evaluate(form, &self.csr, baseline, &mut self.ls);
@@ -746,9 +814,9 @@ impl Revalidator {
         &self.csr
     }
 
-    /// Solution entries the revalidator holds between runs. The spare
+    /// Solution entries the revalidator stores between runs. The spare
     /// solution is emptied after every run, so this equals the live
-    /// solution's [`total_entries`](LeastSolution::total_entries) however
+    /// solution's [`stored_entries`](LeastSolution::stored_entries) however
     /// many runs it has made.
     pub fn arena_entries(&self) -> usize {
         self.ls.arena.len() + self.spare_ls.arena.len()
@@ -794,6 +862,7 @@ impl Solver {
             let set_vars = result.spans.iter().filter(|(s, e)| e > s).count();
             rec.set(bane_obs::Counter::LsSetVars, set_vars as u64);
             rec.set(bane_obs::Counter::LsEntries, result.total_entries() as u64);
+            rec.set(bane_obs::Counter::LsStoredEntries, result.stored_entries() as u64);
             rec.stop(bane_obs::Phase::LeastSolution);
         }
         result
@@ -1287,8 +1356,90 @@ mod tests {
             s.add(a, b);
             s.solve();
             rv.run(&s.least_parts());
-            assert_eq!(rv.arena_entries(), solution(&rv).total_entries());
+            assert_eq!(rv.arena_entries(), solution(&rv).stored_entries());
         }
+    }
+
+    /// An inductive-form solver whose order is creation order, so every
+    /// `earlier ⊆ later` edge is a predecessor edge and sources stay where
+    /// they were added.
+    fn creation_ordered() -> Solver {
+        Solver::new(SolverConfig::if_online().with_order(crate::order::OrderPolicy::Creation))
+    }
+
+    fn sources(s: &mut Solver, n: usize) -> Vec<TermId> {
+        (0..n)
+            .map(|k| {
+                let c = s.register_nullary(format!("t{k}"));
+                s.term(c, vec![])
+            })
+            .collect()
+    }
+
+    /// A chain of single-predecessor variables stores its set once: every
+    /// link shares the head's span.
+    #[test]
+    fn chain_of_single_predecessors_stores_its_set_once() {
+        let mut s = creation_ordered();
+        let ts = sources(&mut s, 3);
+        let chain: Vec<Var> = (0..10).map(|_| s.fresh_var()).collect();
+        for &t in &ts {
+            s.add(t, chain[0]);
+        }
+        for w in chain.windows(2) {
+            s.add(w[0], w[1]);
+        }
+        s.solve();
+        let ls = s.least_solution();
+        let spans = ls.raw_parts().2;
+        for &v in &chain {
+            assert_eq!(ls.get(v), ts.as_slice());
+            assert_eq!(spans[v.index()], spans[chain[0].index()], "{v} shares the head's span");
+        }
+        assert_eq!(ls.stored_entries(), 3);
+        assert_eq!(ls.total_entries(), 30);
+    }
+
+    /// A union whose other inputs, sources included, are subsets of its
+    /// largest input shares that input's span and stores nothing new.
+    #[test]
+    fn union_of_subsets_shares_the_largest_input() {
+        let mut s = creation_ordered();
+        let ts = sources(&mut s, 2);
+        let (a, b, c) = (s.fresh_var(), s.fresh_var(), s.fresh_var());
+        s.add(ts[0], a);
+        s.add(ts[1], a);
+        s.add(ts[0], b);
+        s.add(a, c);
+        s.add(b, c);
+        s.add(ts[1], c);
+        s.solve();
+        let ls = s.least_solution();
+        assert_eq!(ls.get(c), ts.as_slice());
+        assert_eq!(ls.raw_parts().2[c.index()], ls.raw_parts().2[a.index()]);
+        assert_eq!(ls.stored_entries(), 3, "a's two entries and b's one");
+        assert_eq!(ls.total_entries(), 5);
+    }
+
+    /// A union that adds a term no input holds is merged and appended.
+    #[test]
+    fn union_that_adds_a_term_appends() {
+        let mut s = creation_ordered();
+        let ts = sources(&mut s, 3);
+        let (a, b, c) = (s.fresh_var(), s.fresh_var(), s.fresh_var());
+        s.add(ts[0], a);
+        s.add(ts[1], a);
+        s.add(ts[2], b);
+        s.add(a, c);
+        s.add(b, c);
+        s.solve();
+        let ls = s.least_solution();
+        assert_eq!(ls.get(c), ts.as_slice());
+        let spans = ls.raw_parts().2;
+        assert_ne!(spans[c.index()], spans[a.index()]);
+        assert_ne!(spans[c.index()], spans[b.index()]);
+        assert_eq!(ls.stored_entries(), 6);
+        assert_eq!(ls.stored_entries(), ls.total_entries());
     }
 
     #[cfg(feature = "obs")]
@@ -1299,6 +1450,7 @@ mod tests {
         let ls = s.least_solution();
         let rec = s.obs().expect("obs enabled");
         assert_eq!(rec.get(bane_obs::Counter::LsEntries), ls.total_entries() as u64);
+        assert_eq!(rec.get(bane_obs::Counter::LsStoredEntries), ls.stored_entries() as u64);
         assert_eq!(rec.get(bane_obs::Counter::CsrBuilds), 1);
         let report = rec.report("least");
         assert!(report.phases.iter().any(|p| p.phase == bane_obs::Phase::LeastSolution.name()));

@@ -10,6 +10,7 @@
 
 use bane_core::forward::Forwarding;
 use bane_core::graph::{Graph, GraphCensus, Insert};
+use bane_core::least::Revalidator;
 use bane_core::prelude::*;
 use bane_util::idx::Idx;
 use proptest::prelude::*;
@@ -495,6 +496,65 @@ proptest! {
             prop_assert_eq!(stats.new_edges(), stats.work - stats.redundant);
             let census = s.census();
             prop_assert!((census.total_edges() as u64) <= stats.new_edges());
+        }
+    }
+
+    /// Least-solution storage: every canonical span is sorted and distinct
+    /// and equals the union equation (1) recomputes from the frozen CSR,
+    /// however many spans share storage; the arena stores no more than the
+    /// logical entries; and a revalidated solution after growth and after
+    /// removal is byte-equal to a cold pass.
+    #[test]
+    fn least_solution_spans_are_exact_and_revalidate_byte_equal(
+        sys in sys_strategy(),
+        held in 0usize..12,
+        seed in 0u64..1000,
+    ) {
+        let order = OrderPolicy::Random { seed };
+        for config in [
+            SolverConfig::if_online().with_order(order),
+            SolverConfig::if_plain().with_order(order),
+            SolverConfig::sf_online(),
+        ] {
+            let mut small = sys.clone();
+            let grown = small.var_edges.split_off(small.var_edges.len().saturating_sub(held));
+            let (mut s, vars, _) = build(&small, Solver::new(config));
+            s.solve();
+            let ls = s.least_solution();
+            let csr = s.least_csr();
+            for (i, &r) in ls.raw_parts().0.iter().enumerate() {
+                let v = Var::new(i);
+                if r != v {
+                    continue;
+                }
+                let set = ls.get(v);
+                prop_assert!(set.windows(2).all(|w| w[0] < w[1]), "{:?}: unsorted {}", config, v);
+                let mut union = csr.srcs(v).to_vec();
+                for &u in csr.preds(v) {
+                    union.extend_from_slice(ls.get(u));
+                }
+                union.sort_unstable();
+                union.dedup();
+                prop_assert_eq!(set, union.as_slice(), "{:?}: LS({}) != equation (1)", config, v);
+            }
+            prop_assert!(ls.stored_entries() <= ls.total_entries());
+
+            let mut rv = Revalidator::new();
+            rv.run(&s.least_parts());
+            prop_assert_eq!(rv.solution(), Some(&ls));
+            // Growth through the live solver.
+            for &(a, b) in &grown {
+                s.add(vars[a], vars[b]);
+            }
+            s.solve();
+            rv.run(&s.least_parts());
+            prop_assert_eq!(rv.solution(), Some(&s.least_solution()), "{:?}: grown", config);
+            // Removal: a fresh solver without the grown edges, against the
+            // grown baseline.
+            let (mut fresh, _, _) = build(&small, Solver::new(config));
+            fresh.solve();
+            rv.run(&fresh.least_parts());
+            prop_assert_eq!(rv.solution(), Some(&fresh.least_solution()), "{:?}: shrunk", config);
         }
     }
 }

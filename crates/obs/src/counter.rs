@@ -80,36 +80,34 @@ pub enum Counter {
     LsSetVars = 19,
     /// Total (var, source) entries in the least solution.
     LsEntries = 20,
+    /// Entries the least solution's arena stores (shared sets count once).
+    LsStoredEntries = 21,
 
     // -- constraint generation -------------------------------------------
     /// Constraints emitted by a front-end generator.
-    GenConstraints = 21,
+    GenConstraints = 22,
     /// Abstract locations created by the points-to generator.
-    GenLocations = 22,
+    GenLocations = 23,
 
     // -- errors -----------------------------------------------------------
     /// Inconsistent constraints detected (`Stats::inconsistencies`).
-    ErrorsInconsistencies = 23,
+    ErrorsInconsistencies = 24,
 
     // -- search-kernel overhaul (DESIGN.md §4e) ---------------------------
     /// Physical wraparound resets of epoch-stamped visited sets (once per
     /// 2^32 generations per set; expected 0 on real runs).
-    EpochResets = 24,
+    EpochResets = 25,
     /// CSR snapshots built for the least-solution kernel.
-    CsrBuilds = 25,
+    CsrBuilds = 26,
 
     // -- snapshot serving (bane-snap, docs/SERVING.md) --------------------
     /// Bytes written by the on-disk snapshot writer (file size including
     /// header and padding).
-    SnapBytesWritten = 26,
+    SnapBytesWritten = 27,
     /// Snapshot files loaded into a `QueryIndex`.
-    SnapLoads = 27,
+    SnapLoads = 28,
     /// Bytes mapped (or copied into the owned-buffer fallback) by loads.
-    SnapBytesMapped = 28,
-    /// Queries answered by `QueryIndex` (only counted when a recorder is
-    /// attached to the instrumented entry points; the lock-free hot path
-    /// itself is uninstrumented).
-    SnapQueries = 29,
+    SnapBytesMapped = 29,
 
     // -- incremental serving (bane-serve, docs/INCREMENTAL.md) ------------
     /// `Delta` batches applied to a live `Session`.
@@ -186,6 +184,7 @@ impl Counter {
         Counter::CensusLiveVars,
         Counter::LsSetVars,
         Counter::LsEntries,
+        Counter::LsStoredEntries,
         Counter::GenConstraints,
         Counter::GenLocations,
         Counter::ErrorsInconsistencies,
@@ -194,7 +193,6 @@ impl Counter {
         Counter::SnapBytesWritten,
         Counter::SnapLoads,
         Counter::SnapBytesMapped,
-        Counter::SnapQueries,
         Counter::ServeDeltaApplied,
         Counter::ServeDeltaMonotone,
         Counter::ServeDeltaReplayed,
@@ -236,6 +234,7 @@ impl Counter {
             Counter::CensusLiveVars => "census.live-vars",
             Counter::LsSetVars => "ls.set-vars",
             Counter::LsEntries => "ls.entries",
+            Counter::LsStoredEntries => "ls.stored-entries",
             Counter::GenConstraints => "gen.constraints",
             Counter::GenLocations => "gen.locations",
             Counter::ErrorsInconsistencies => "errors.inconsistencies",
@@ -244,7 +243,6 @@ impl Counter {
             Counter::SnapBytesWritten => "snap.bytes-written",
             Counter::SnapLoads => "snap.loads",
             Counter::SnapBytesMapped => "snap.bytes-mapped",
-            Counter::SnapQueries => "snap.queries",
             Counter::ServeDeltaApplied => "serve.delta.applied",
             Counter::ServeDeltaMonotone => "serve.delta.monotone",
             Counter::ServeDeltaReplayed => "serve.delta.replayed",

@@ -553,6 +553,7 @@ impl Session {
             let set_vars = ls.raw_parts().2.iter().filter(|(s, e)| e > s).count();
             rec.set(Counter::LsSetVars, set_vars as u64);
             rec.set(Counter::LsEntries, ls.total_entries() as u64);
+            rec.set(Counter::LsStoredEntries, ls.stored_entries() as u64);
             rec.record_ns(Phase::Revalidate, t0.elapsed().as_nanos() as u64);
         }
         outcome
@@ -635,10 +636,10 @@ impl Session {
         &self.solver
     }
 
-    /// Least-solution entries the session holds between commits, counting
+    /// Least-solution entries the session stores between commits, counting
     /// the double-buffered pass's spare solution
     /// ([`Revalidator::arena_entries`]). The spare is emptied after every
-    /// commit, so this equals `least_solution().total_entries()` however
+    /// commit, so this equals `least_solution().stored_entries()` however
     /// many commits ran.
     pub fn ls_arena_entries(&self) -> usize {
         self.least.arena_entries()

@@ -170,7 +170,7 @@ fn drop_restore_soak_keeps_the_working_arena_bounded() {
             }
 
             let arena = session.ls_arena_entries();
-            let entries = session.least_solution().total_entries();
+            let entries = session.least_solution().stored_entries();
             assert!(
                 arena <= 2 * entries,
                 "{mode:?} round {round}: working arena {arena} vs {entries} live entries"

@@ -17,7 +17,7 @@ pub const MAGIC: [u8; 8] = *b"BANESNAP";
 /// format carries no in-band migration machinery, and a snapshot is cheap
 /// to regenerate from the solver (see the compatibility policy in
 /// `docs/SNAPSHOT_FORMAT.md` §6).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The endianness marker stored at header offset 12, written in host byte
 /// order. A reader that decodes a different value is running on a host
@@ -59,7 +59,8 @@ pub enum SectionId {
     /// Least-solution spans: `(start, end)` pairs into
     /// [`LsArena`](Self::LsArena), indexed by representative.
     LsSpans = 5,
-    /// Least-solution arena: concatenated sorted source-term sets.
+    /// Least-solution arena: a pool of sorted source-term sets that
+    /// `LsSpans` rows may share.
     LsArena = 6,
     /// Term rows: `(start, end)` word ranges into
     /// [`TermData`](Self::TermData).

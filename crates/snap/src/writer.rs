@@ -10,8 +10,10 @@
 //! frozen CSR the caller already holds, sizes the image once from the
 //! section lengths, writes every section's words straight into it with no
 //! per-section buffers, then checksums the finished image with XXH64 and
-//! patches the header. A serving session hands it the pair its last commit
-//! revalidated, so publishing solves nothing;
+//! patches the header. The solution's arena is written as stored: a set
+//! that several variables share is written once, and their `LS_SPANS` rows
+//! name the same range (format v3). A serving session hands it the pair its
+//! last commit revalidated, so publishing solves nothing;
 //! [`encode_solver`] is the cold path (one least-solution pass, then the
 //! same encoder). [`write_image`] is the only step that touches the
 //! filesystem, so every structural path is testable without temp files.

@@ -251,8 +251,8 @@ fn every_single_bit_flip_after_the_header_fails_the_checksum() {
     }
 }
 
-/// A file stamped with the previous format version (FNV-1a checksum) is
-/// rejected by version, before its checksum is read.
+/// A file stamped with format version 1 (FNV-1a checksum) is rejected by
+/// version, before its checksum is read.
 #[test]
 fn version_1_files_are_rejected_by_version() {
     let mut old = fixture();
@@ -260,6 +260,50 @@ fn version_1_files_are_rejected_by_version() {
     assert!(matches!(
         QueryIndex::from_bytes(&old),
         Err(bane_snap::SnapError::BadVersion { found: 1 })
+    ));
+}
+
+/// A file stamped with format version 2 (every set copied, no shared
+/// spans) is rejected by version, before its checksum is read.
+#[test]
+fn version_2_files_are_rejected_by_version() {
+    let mut old = fixture();
+    old[format::VERSION_OFFSET..format::VERSION_OFFSET + 4].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        QueryIndex::from_bytes(&old),
+        Err(bane_snap::SnapError::BadVersion { found: 2 })
+    ));
+}
+
+/// `(offset, len)` in bytes of section `id`, read from the section table.
+fn section(image: &[u8], id: format::SectionId) -> (usize, usize) {
+    let entry = bane_snap::writer::section_table_offset(id);
+    let dword = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    (dword(entry + 8), dword(entry + 16))
+}
+
+/// A span that several representatives share, pushed past the end of the
+/// arena, is rejected like any other out-of-bounds row.
+#[test]
+fn an_aliased_span_past_the_arena_is_rejected() {
+    let image = valid_image();
+    let (spans_off, spans_len) = section(&image, format::SectionId::LsSpans);
+    let arena_words = section(&image, format::SectionId::LsArena).1 / 4;
+    let word = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+    let rows: Vec<(u32, u32)> =
+        (spans_off..spans_off + spans_len).step_by(8).map(|at| (word(at), word(at + 4))).collect();
+    let k = (0..rows.len())
+        .find(|&k| rows[k].1 > rows[k].0 && rows.iter().filter(|&&r| r == rows[k]).count() > 1)
+        .expect("the image shares a least-solution span");
+    let len = rows[k].1 - rows[k].0;
+    let start = arena_words as u32 - len + 1;
+    let mut bad = image.clone();
+    bad[spans_off + 8 * k..spans_off + 8 * k + 4].copy_from_slice(&start.to_le_bytes());
+    bad[spans_off + 8 * k + 4..spans_off + 8 * k + 8].copy_from_slice(&(start + len).to_le_bytes());
+    reseal(&mut bad);
+    assert!(matches!(
+        QueryIndex::from_bytes(&bad),
+        Err(bane_snap::SnapError::Corrupt("row span out of bounds"))
     ));
 }
 

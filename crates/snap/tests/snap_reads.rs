@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bane_core::prelude::*;
 use bane_obs::{Counter, Recorder};
 use bane_points_to::andersen;
-use bane_snap::{write_solver, LoadMode, QueryIndex, QueryScratch};
+use bane_snap::format::SectionId;
+use bane_snap::writer::section_table_offset;
+use bane_snap::{encode_solver, write_solver, LoadMode, QueryIndex, QueryScratch};
 use bane_synth::suite::{suite_program, PAPER_SUITE};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -83,6 +85,42 @@ fn povray_snapshot_serves_identically_at_every_thread_count() {
     }
     assert_eq!(rec.get(Counter::SnapLoads), THREADS.len() as u64, "one per cold load");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each shared least-solution set is stored once: the povray image's
+/// `LS_ARENA` is shorter than the sum of its `LS_SPANS` lengths, and every
+/// variable still reads its live set, by `points_to` and by the
+/// independent CSR route.
+#[test]
+fn povray_snapshot_stores_each_shared_set_once() {
+    let entry = PAPER_SUITE.iter().find(|e| e.name == "povray-2.2").unwrap();
+    let program = suite_program(entry, SCALE);
+    let mut analysis = andersen::analyze(&program, SolverConfig::if_online());
+    let ls = analysis.solver.least_solution();
+    let image = encode_solver(&mut analysis.solver).unwrap();
+
+    let section = |id: SectionId| {
+        let entry = section_table_offset(id);
+        let dword = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+        &image[dword(entry + 8)..dword(entry + 8) + dword(entry + 16)]
+    };
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap()) as usize;
+    let arena_words = section(SectionId::LsArena).len() / 4;
+    let span_words: usize =
+        section(SectionId::LsSpans).chunks_exact(8).map(|p| word(&p[4..]) - word(&p[..4])).sum();
+    assert_eq!(arena_words, ls.stored_entries());
+    assert_eq!(span_words, ls.total_entries());
+    assert!(arena_words < span_words, "arena {arena_words} vs spans {span_words}");
+
+    let index = QueryIndex::from_bytes(&image).unwrap();
+    let mut scratch = QueryScratch::new();
+    let mut reach = Vec::new();
+    for i in 0..ls.len() {
+        let v = Var::new(i);
+        assert_eq!(index.points_to(v), ls.get(v), "points_to({v})");
+        index.reachable_sources_with(v, &mut scratch, &mut reach);
+        assert_eq!(reach, ls.get(v), "reachable_sources({v})");
+    }
 }
 
 /// Both load paths (mmap and owned) serve the same answers — the backing
