@@ -188,6 +188,100 @@ impl NodeCounts {
     }
 }
 
+/// The resolution worklist: a FIFO of the constraints that can change the
+/// graph.
+///
+/// Decomposition discharges trivially-true arguments (`0 ⊆ R`, `L ⊆ 1`)
+/// instead of queueing them; under the Andersen encoding that is two of
+/// every three arguments. Each still counts as processed at the FIFO
+/// position it would have had, so every entry carries the number of
+/// discharged constraints that preceded it, and `tail` counts those after
+/// the last entry. [`Solver::run_inner`] counts them where the FIFO would
+/// have dequeued them, which keeps `Stats::constraints_processed` — and the
+/// periodic passes and `max_work` bail-out that key on it — exact at every
+/// step.
+#[derive(Clone, Debug, Default)]
+struct Worklist {
+    queue: VecDeque<Queued>,
+    tail: u32,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    lhs: SetExpr,
+    rhs: SetExpr,
+    discharged_before: u32,
+}
+
+/// One step of [`Worklist::pop_step`], in FIFO order.
+enum Step {
+    /// A trivially-true constraint, discharged when it was made.
+    Discharged,
+    /// A queued constraint `lhs ⊆ rhs`.
+    Queued(SetExpr, SetExpr),
+    /// Nothing is left.
+    Empty,
+}
+
+impl Worklist {
+    /// Appends `lhs ⊆ rhs` behind the constraints discharged since the last
+    /// entry.
+    #[inline]
+    fn push(&mut self, lhs: SetExpr, rhs: SetExpr) {
+        let discharged_before = std::mem::take(&mut self.tail);
+        self.queue.push_back(Queued { lhs, rhs, discharged_before });
+    }
+
+    /// Counts one discharged constraint at the back of the FIFO. Returns
+    /// `false`, counting nothing, if the counter is full; the caller then
+    /// queues the constraint instead.
+    #[inline]
+    fn discharge(&mut self) -> bool {
+        match self.tail.checked_add(1) {
+            Some(n) => {
+                self.tail = n;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Takes the front entry: the number of discharged constraints ahead
+    /// of it, and its constraint. With the queue empty it takes the tail,
+    /// with no constraint.
+    #[inline]
+    fn pop(&mut self) -> (u32, Option<(SetExpr, SetExpr)>) {
+        match self.queue.pop_front() {
+            Some(entry) => (entry.discharged_before, Some((entry.lhs, entry.rhs))),
+            None => (std::mem::take(&mut self.tail), None),
+        }
+    }
+
+    /// Takes one step off the front: a discharged constraint if one is
+    /// ahead of the front entry (or, with the queue empty, in the tail),
+    /// else the front entry's constraint. A discharged step is taken off
+    /// its counter first, so whatever the caller queues in response lands
+    /// behind the discharged steps still ahead.
+    fn pop_step(&mut self) -> Step {
+        let ahead = match self.queue.front_mut() {
+            Some(entry) => &mut entry.discharged_before,
+            None => &mut self.tail,
+        };
+        if *ahead > 0 {
+            *ahead -= 1;
+            return Step::Discharged;
+        }
+        match self.queue.pop_front() {
+            Some(entry) => Step::Queued(entry.lhs, entry.rhs),
+            None => Step::Empty,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty() && self.tail == 0
+    }
+}
+
 /// Per-node provenance mirrors, positionally parallel to the node's four
 /// adjacency lists (same push order, taken/retained in lockstep). Possible
 /// only because the provenance-tracking solver disables eager compaction:
@@ -247,7 +341,7 @@ pub struct Solver {
     fwd: Forwarding,
     order: VarOrder,
     search: ChainSearch,
-    pending: VecDeque<(SetExpr, SetExpr)>,
+    pending: Worklist,
     /// Provenance tracking (the `fast_apply` side-table). `None` unless
     /// [`enable_provenance`](Solver::enable_provenance) was called before
     /// any constraint was added; the untracked path pays one null check.
@@ -352,7 +446,7 @@ impl Solver {
             fwd: Forwarding::new(),
             order: VarOrder::new(config.order),
             search: ChainSearch::new(1024),
-            pending: VecDeque::new(),
+            pending: Worklist::default(),
             prov: None,
             path_buf: Vec::new(),
             members_buf: Vec::new(),
@@ -793,7 +887,7 @@ impl Solver {
             let g = p.current_group;
             p.pending_prov.push_back(g);
         }
-        self.pending.push_back((lhs.into(), rhs.into()));
+        self.pending.push(lhs.into(), rhs.into());
     }
 
     /// Queues a derived constraint carrying the in-flight provenance.
@@ -803,7 +897,19 @@ impl Solver {
             let pr = p.current;
             p.pending_prov.push_back(pr);
         }
-        self.pending.push_back((lhs, rhs));
+        self.pending.push(lhs, rhs);
+    }
+
+    /// Queues a decomposition argument `lhs ⊆ rhs`, or discharges it on the
+    /// spot when it is trivially true (`0 ⊆ R` or `L ⊆ 1`): processing it
+    /// would change nothing but `constraints_processed`, so it is only
+    /// counted, at its FIFO position, and pushes no provenance.
+    #[inline]
+    fn push_argument(&mut self, lhs: SetExpr, rhs: SetExpr) {
+        let trivial = matches!(lhs, SetExpr::Zero) || matches!(rhs, SetExpr::One);
+        if !(trivial && self.pending.discharge()) {
+            self.push_pending(lhs, rhs);
+        }
     }
 
     /// Queues a derived constraint with an explicit provenance (collapse
@@ -813,7 +919,7 @@ impl Solver {
         if let Some(p) = &mut self.prov {
             p.pending_prov.push_back(prov);
         }
-        self.pending.push_back((lhs, rhs));
+        self.pending.push(lhs, rhs);
     }
 
     /// Resolves all pending constraints, closing the graph transitively.
@@ -856,24 +962,57 @@ impl Solver {
         finished
     }
 
+    /// The resolution loop. A discharged constraint is one processed step
+    /// that changes nothing else, so the periodic pass and the `max_work`
+    /// check follow it exactly as they follow a queued one. Without periodic
+    /// passes and below the bound those checks cannot fire, so the steps
+    /// ahead of an entry are counted at once; otherwise the loop takes one
+    /// step at a time.
     fn run_inner(&mut self, closure: bool, max_work: u64) -> bool {
         let periodic = match self.config.cycle_elim {
             CycleElim::Periodic { interval } if closure => interval.max(1) as u64,
             _ => 0,
         };
-        while let Some((lhs, rhs)) = self.pending.pop_front() {
+        loop {
+            let (lhs, rhs) = if periodic == 0 && self.stats.work <= max_work {
+                let (discharged, next) = self.pending.pop();
+                self.stats.constraints_processed += u64::from(discharged);
+                match next {
+                    Some(constraint) => constraint,
+                    None => return true,
+                }
+            } else {
+                match self.pending.pop_step() {
+                    Step::Queued(lhs, rhs) => (lhs, rhs),
+                    Step::Empty => return true,
+                    Step::Discharged => {
+                        self.stats.constraints_processed += 1;
+                        if !self.after_step(periodic, max_work) {
+                            return false;
+                        }
+                        continue;
+                    }
+                }
+            };
             if let Some(p) = &mut self.prov {
                 p.current = p.pending_prov.pop_front().unwrap_or(ProvTable::EMPTY);
             }
             self.process(lhs, rhs, closure);
-            if periodic != 0 && self.stats.constraints_processed.is_multiple_of(periodic) {
-                self.offline_collapse();
-            }
-            if self.stats.work > max_work {
+            if !self.after_step(periodic, max_work) {
                 return false;
             }
         }
-        true
+    }
+
+    /// Runs what follows every processed step: the periodic pass when the
+    /// count reaches a multiple of `periodic` (0: none), then the `max_work`
+    /// check. Returns `false` when the run must stop.
+    #[inline]
+    fn after_step(&mut self, periodic: u64, max_work: u64) -> bool {
+        if periodic != 0 && self.stats.constraints_processed.is_multiple_of(periodic) {
+            self.offline_collapse();
+        }
+        self.stats.work <= max_work
     }
 
     /// One offline elimination pass: Tarjan over the current canonical
@@ -972,8 +1111,8 @@ impl Solver {
             let a = self.terms.data(s).args()[i];
             let b = self.terms.data(t).args()[i];
             match self.cons.signature(sc).variances()[i] {
-                Variance::Covariant => self.push_pending(a, b),
-                Variance::Contravariant => self.push_pending(b, a),
+                Variance::Covariant => self.push_argument(a, b),
+                Variance::Contravariant => self.push_argument(b, a),
             }
         }
     }
@@ -990,10 +1129,10 @@ impl Solver {
                 self.graph.compact_node(pivot, &self.fwd);
                 let node = self.graph.node(pivot);
                 for &r in node.succ_vars() {
-                    self.pending.push_back((lhs, SetExpr::Var(r)));
+                    self.pending.push(lhs, SetExpr::Var(r));
                 }
                 for &r in node.succ_snks() {
-                    self.pending.push_back((lhs, SetExpr::Term(r)));
+                    self.pending.push(lhs, SetExpr::Term(r));
                 }
             }
             Some(p) => {
@@ -1004,11 +1143,11 @@ impl Solver {
                 debug_assert_eq!(node.succ_snks().len(), mirror.succ_snks.len());
                 for (i, &r) in node.succ_vars().iter().enumerate() {
                     pending_prov.push_back(table.union(*current, mirror.succ_vars[i]));
-                    self.pending.push_back((lhs, SetExpr::Var(r)));
+                    self.pending.push(lhs, SetExpr::Var(r));
                 }
                 for (i, &r) in node.succ_snks().iter().enumerate() {
                     pending_prov.push_back(table.union(*current, mirror.succ_snks[i]));
-                    self.pending.push_back((lhs, SetExpr::Term(r)));
+                    self.pending.push(lhs, SetExpr::Term(r));
                 }
             }
         }
@@ -1022,10 +1161,10 @@ impl Solver {
                 self.graph.compact_node(pivot, &self.fwd);
                 let node = self.graph.node(pivot);
                 for &l in node.pred_srcs() {
-                    self.pending.push_back((SetExpr::Term(l), rhs));
+                    self.pending.push(SetExpr::Term(l), rhs);
                 }
                 for &l in node.pred_vars() {
-                    self.pending.push_back((SetExpr::Var(l), rhs));
+                    self.pending.push(SetExpr::Var(l), rhs);
                 }
             }
             Some(p) => {
@@ -1036,11 +1175,11 @@ impl Solver {
                 debug_assert_eq!(node.pred_vars().len(), mirror.pred_vars.len());
                 for (i, &l) in node.pred_srcs().iter().enumerate() {
                     pending_prov.push_back(table.union(*current, mirror.pred_srcs[i]));
-                    self.pending.push_back((SetExpr::Term(l), rhs));
+                    self.pending.push(SetExpr::Term(l), rhs);
                 }
                 for (i, &l) in node.pred_vars().iter().enumerate() {
                     pending_prov.push_back(table.union(*current, mirror.pred_vars[i]));
-                    self.pending.push_back((SetExpr::Var(l), rhs));
+                    self.pending.push(SetExpr::Var(l), rhs);
                 }
             }
         }

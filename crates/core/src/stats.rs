@@ -16,6 +16,11 @@ pub struct Stats {
     /// Constraints handed to [`Solver::add`](crate::solver::Solver::add).
     pub constraints_added: u64,
     /// Constraints processed off the worklist (includes derived ones).
+    ///
+    /// A trivially-true decomposition argument (`0 ⊆ R` or `L ⊆ 1`) is
+    /// never queued, but it still counts here, at the position in the FIFO
+    /// it would have had: the count after every step is the same as if it
+    /// had been queued and dequeued.
     pub constraints_processed: u64,
     /// Edge-addition attempts — the paper's "Work" column.
     pub work: u64,

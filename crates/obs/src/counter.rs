@@ -26,7 +26,8 @@ pub enum Counter {
     // -- constraint intake ---------------------------------------------
     /// Constraints added to the system (`Stats::constraints_added`).
     ConstraintsAdded = 0,
-    /// Constraints dequeued and processed (`Stats::constraints_processed`).
+    /// Constraints dequeued and processed (`Stats::constraints_processed`;
+    /// trivially-true decomposition arguments count without being queued).
     ConstraintsProcessed = 1,
     /// Constraints between two constructed terms (`Stats::term_constraints`).
     ConstraintsTerm = 2,

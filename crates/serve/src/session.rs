@@ -96,9 +96,15 @@ impl LiveGroup {
 
     /// Rebinds the slot to `new` contents: occurrences also present in the
     /// old contents keep their atom (multiset matching), genuinely new
-    /// constraints get rotating fresh buckets. Returns the atoms of the
-    /// *removed* occurrences — exactly what this edit retracts.
-    fn rebind(&mut self, group: u32, new: Vec<(SetExpr, SetExpr)>) -> Vec<u32> {
+    /// constraints get rotating fresh buckets and are appended to `fresh`
+    /// with their atoms. Returns the atoms of the *removed* occurrences —
+    /// exactly what this edit retracts.
+    fn rebind(
+        &mut self,
+        group: u32,
+        new: Vec<(SetExpr, SetExpr)>,
+        fresh: &mut Vec<(SetExpr, SetExpr, u32)>,
+    ) -> Vec<u32> {
         let mut pool: FxHashMap<(SetExpr, SetExpr), Vec<u32>> = FxHashMap::default();
         for (c, &a) in self.constraints.iter().zip(&self.atoms) {
             pool.entry(*c).or_default().push(a);
@@ -109,6 +115,7 @@ impl LiveGroup {
             atoms.push(inherited.unwrap_or_else(|| {
                 let a = atom(group, self.next_bucket);
                 self.next_bucket = (self.next_bucket + 1) % ATOM_BUCKETS;
+                fresh.push((c.0, c.1, a));
                 a
             }));
         }
@@ -121,12 +128,25 @@ impl LiveGroup {
     /// Feeds the group's constraints to `solver`, each tagged with its
     /// provenance atom (a no-op tag when the solver tracks no provenance).
     fn feed(&self, solver: &mut Solver) {
-        for (&(lhs, rhs), &a) in self.constraints.iter().zip(&self.atoms) {
-            solver.set_current_group(Some(a));
-            solver.add(lhs, rhs);
-        }
-        solver.set_current_group(None);
+        feed_tagged(solver, self.tagged());
     }
+
+    /// The group's constraints, each with its provenance atom.
+    fn tagged(&self) -> impl Iterator<Item = (SetExpr, SetExpr, u32)> + '_ {
+        self.constraints.iter().zip(&self.atoms).map(|(&(l, r), &a)| (l, r, a))
+    }
+}
+
+/// Adds each constraint to `solver` tagged with its provenance atom.
+fn feed_tagged(
+    solver: &mut Solver,
+    constraints: impl IntoIterator<Item = (SetExpr, SetExpr, u32)>,
+) {
+    for (lhs, rhs, a) in constraints {
+        solver.set_current_group(Some(a));
+        solver.add(lhs, rhs);
+    }
+    solver.set_current_group(None);
 }
 
 /// How a session re-solves **non-monotone** deltas — the two-tier contract
@@ -379,6 +399,9 @@ impl Session {
             // new variables before that decision, so solver-side var syncs
             // are deferred.
             let mut retract_atoms: Vec<u32> = Vec::new();
+            // Constraint occurrences this batch adds, with their atoms: what
+            // a repair that retracts nothing feeds.
+            let mut fresh: Vec<(SetExpr, SetExpr, u32)> = Vec::new();
             let mut new_vars: Vec<Var> = Vec::new();
             for op in delta.ops() {
                 match op {
@@ -390,7 +413,9 @@ impl Session {
                     DeltaOp::AddGroup { constraints } => {
                         let gid = self.groups.len() as u32;
                         new_groups.push(GroupId::new(gid));
-                        self.groups.push(Some(LiveGroup::new(gid, constraints.clone())));
+                        let group = LiveGroup::new(gid, constraints.clone());
+                        fresh.extend(group.tagged());
+                        self.groups.push(Some(group));
                     }
                     DeltaOp::RemoveGroup(g) => {
                         let slot = self
@@ -409,7 +434,8 @@ impl Session {
                         let lg = slot
                             .as_mut()
                             .unwrap_or_else(|| panic!("cannot edit removed group: {g}"));
-                        retract_atoms.extend(lg.rebind(g.index() as u32, constraints.clone()));
+                        let removed = lg.rebind(g.index() as u32, constraints.clone(), &mut fresh);
+                        retract_atoms.extend(removed);
                     }
                 }
             }
@@ -428,7 +454,7 @@ impl Session {
                     let b = self.solver.fresh_var();
                     debug_assert_eq!(v, b);
                 }
-                self.repair();
+                self.repair(&retract_atoms, fresh);
                 fast_repaired = true;
             } else {
                 fell_back = self.mode == ApplyMode::Fast;
@@ -504,18 +530,31 @@ impl Session {
         self.solver.solve();
     }
 
-    /// Repairs the live solver in place after [`Solver::retract_groups`]:
-    /// re-injects every live group's constraints (almost all are redundant
-    /// against the retained graph; the ones whose direct fact was
-    /// over-deleted re-insert and propagate), schedules the solver's
-    /// targeted damage re-fire pass, and re-runs the resolution engine to a
-    /// fixpoint. Work is proportional to the graph neighborhood of the
-    /// retraction, not to the closure.
-    fn repair(&mut self) {
-        for group in self.groups.iter().flatten() {
-            group.feed(&mut self.solver);
+    /// Repairs the live solver in place after [`Solver::retract_groups`]
+    /// removed the facts of the `retracted` atoms, then re-runs the
+    /// resolution engine to a fixpoint.
+    ///
+    /// When something was retracted, it re-injects every live group's
+    /// constraints (almost all are redundant against the retained graph;
+    /// the ones whose direct fact was over-deleted re-insert and propagate)
+    /// and schedules the solver's targeted damage re-fire pass. Work is
+    /// proportional to the graph neighborhood of the retraction, not to the
+    /// closure.
+    ///
+    /// When nothing was retracted (an edit that only adds occurrences, or
+    /// the removal of an empty group), the graph is still the closure of
+    /// every constraint that was live before the batch, so only the
+    /// batch's `fresh` occurrences — its new groups and the edits' new
+    /// occurrences, each with its atom — are fed.
+    fn repair(&mut self, retracted: &[u32], fresh: Vec<(SetExpr, SetExpr, u32)>) {
+        if retracted.is_empty() {
+            feed_tagged(&mut self.solver, fresh);
+        } else {
+            for group in self.groups.iter().flatten() {
+                group.feed(&mut self.solver);
+            }
+            self.solver.repair_refire();
         }
-        self.solver.repair_refire();
         self.solver.solve();
     }
 

@@ -236,3 +236,55 @@ fn live_constraints_track_group_liveness() {
     s.apply(e);
     assert_eq!(s.live_constraints(), 2);
 }
+
+/// An edit that only adds occurrences retracts nothing, so the repair
+/// feeds just the batch's new occurrences — the edit's additions and any
+/// new group's — instead of re-injecting every live constraint, and the
+/// sets still equal an Exact session's.
+#[test]
+fn pure_add_edit_feeds_only_the_new_occurrences() {
+    let build = |mode: ApplyMode| {
+        let mut s = SessionBuilder::new().apply_mode(mode).build();
+        let c = s.register_nullary("c");
+        let d = s.register_nullary("d");
+        let (src_c, src_d) = (s.term(c, vec![]), s.term(d, vec![]));
+        let v: Vec<Var> = (0..5).map(|_| s.fresh_var()).collect();
+        let mut delta = Delta::new();
+        delta.add_group(vec![(src_c.into(), v[0].into()), (v[0].into(), v[1].into())]); // g0
+        delta.add_group(vec![(v[1].into(), v[2].into()), (v[2].into(), v[0].into())]); // g1
+        delta.add_group(vec![(src_d.into(), v[3].into())]); // g2
+        s.apply(delta);
+        (s, src_c, src_d, v)
+    };
+    let (mut fast, src_c, src_d, v) = build(ApplyMode::Fast);
+    let (mut exact, _, _, _) = build(ApplyMode::Exact);
+
+    // g2 keeps its occurrence and gains two: one new edge and a second copy
+    // of the existing one (a multiset occurrence of its own); a new group
+    // rides along in the same batch.
+    let edited = vec![
+        (src_d.into(), v[3].into()),
+        (v[3].into(), v[1].into()),
+        (src_d.into(), v[3].into()),
+    ];
+    let mut delta = Delta::new();
+    delta.edit_group(GroupId::new(2), edited);
+    delta.add_group(vec![(v[2].into(), v[4].into())]);
+    let added_before = fast.stats().constraints_added;
+    let report = fast.apply(delta.clone());
+    exact.apply(delta);
+    assert!(!report.monotone, "an edit is not monotone");
+    assert!(report.fast_repaired, "a pure-add edit repairs in place");
+    assert_eq!(
+        fast.stats().constraints_added - added_before,
+        3,
+        "only the two new occurrences of g2 and the new group's one are fed"
+    );
+    for &x in &v {
+        let e = exact.points_to(x).to_vec();
+        assert_eq!(fast.points_to(x), e.as_slice(), "{x:?}");
+    }
+    let mut both = vec![src_c, src_d];
+    both.sort();
+    assert_eq!(fast.points_to(v[4]), both.as_slice());
+}

@@ -41,16 +41,31 @@ fn tiny_solver() -> Solver {
     s
 }
 
+fn blessing() -> bool {
+    std::env::var_os("BANE_SNAP_BLESS").is_some()
+}
+
+/// The fixture's bytes, for every test that reads them. While blessing,
+/// the tests run in parallel with the one that rewrites the file, so they
+/// read the fresh encode instead of a fixture that may be old or half
+/// written.
+fn fixture_bytes() -> Vec<u8> {
+    if blessing() {
+        return encode_solver(&mut tiny_solver()).unwrap();
+    }
+    std::fs::read(FIXTURE).expect(
+        "missing golden fixture — run with BANE_SNAP_BLESS=1 to (re)generate and commit it",
+    )
+}
+
 #[test]
 fn fixture_bytes_match_fresh_encode() {
     let bytes = encode_solver(&mut tiny_solver()).unwrap();
-    if std::env::var_os("BANE_SNAP_BLESS").is_some() {
+    if blessing() {
         std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
         std::fs::write(FIXTURE, &bytes).unwrap();
     }
-    let golden = std::fs::read(FIXTURE).expect(
-        "missing golden fixture — run with BANE_SNAP_BLESS=1 to (re)generate and commit it",
-    );
+    let golden = fixture_bytes();
     assert_eq!(
         bytes, golden,
         "writer output diverged from the committed fixture; if the format change is \
@@ -60,7 +75,7 @@ fn fixture_bytes_match_fresh_encode() {
 
 #[test]
 fn fixture_loads_and_answers() {
-    let golden = std::fs::read(FIXTURE).unwrap();
+    let golden = fixture_bytes();
     let index = QueryIndex::from_bytes(&golden).unwrap();
     let mut solver = tiny_solver();
     let ls = solver.least_solution();
@@ -93,7 +108,7 @@ fn spec_version_matches_writer_and_fixture_header() {
         "docs/SNAPSHOT_FORMAT.md and format::FORMAT_VERSION drifted apart"
     );
 
-    let golden = std::fs::read(FIXTURE).unwrap();
+    let golden = fixture_bytes();
     let header_version =
         u32::from_le_bytes(golden[format::VERSION_OFFSET..format::VERSION_OFFSET + 4]
             .try_into()
@@ -103,7 +118,7 @@ fn spec_version_matches_writer_and_fixture_header() {
 
 #[test]
 fn fixture_header_geometry_is_as_documented() {
-    let golden = std::fs::read(FIXTURE).unwrap();
+    let golden = fixture_bytes();
     assert_eq!(&golden[..8], format::MAGIC.as_slice());
     assert_eq!(
         u32::from_le_bytes(golden[12..16].try_into().unwrap()),
