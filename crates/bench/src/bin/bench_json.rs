@@ -55,7 +55,7 @@
 //! `edges`, `peak_edges`, `live_vars`, `vars_eliminated`) are stable:
 //! they must not move unless the algorithm deliberately changes, and CI
 //! diffs them against the committed snapshot. Serving and editing timings
-//! (snapshot loads, incremental and fleet applies) belong to `perfbench`,
+//! (snapshot loads, incremental applies) belong to `perfbench`,
 //! which measures them with noise bands.
 //!
 //! The JSON is hand-rolled (the build environment has no serde); the format

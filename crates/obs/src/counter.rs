@@ -129,38 +129,20 @@ pub enum Counter {
     /// across a `Delta` application.
     ServeReuseHit = 35,
 
-    // -- fleet serving (bane-serve ShardManager, docs/SERVING.md) ---------
-    /// Per-shard deltas dispatched by the fleet router (one per shard a
-    /// batch actually touched).
-    FleetDeltaRouted = 36,
-    /// Variable creations replicated across the fleet by the `AddVars`
-    /// fan-out (`n` requested vars on an `S`-shard fleet count `n * S`).
-    FleetVarsFanout = 37,
-    /// Delta batches rejected atomically at the shard boundary (a group
-    /// straddled owner classes, moved owners, or named a dead group).
-    FleetRejectCrossShard = 38,
-    /// Per-shard snapshots republished into a `SnapshotHub`.
-    FleetPublish = 39,
-
     // -- provenance fast-apply (bane-serve ApplyMode::Fast) ---------------
     /// Non-monotone deltas repaired in place by the provenance fast path
     /// (retraction + semi-naive refire, no replay).
-    ServeFastRepaired = 40,
+    ServeFastRepaired = 36,
     /// Non-monotone deltas on a Fast session that invalidated a recorded
     /// cycle collapse and fell back to canonical replay.
-    ServeFastFallback = 41,
+    ServeFastFallback = 37,
     /// Graph edges removed by provenance retraction across fast repairs.
-    ServeFastRetractedEdges = 42,
-    /// Smallest per-shard live-constraint count across the fleet (gauge;
-    /// refreshed by `ShardManager` after every routed batch).
-    FleetBalanceMin = 43,
-    /// Largest per-shard live-constraint count across the fleet (gauge).
-    FleetBalanceMax = 44,
+    ServeFastRetractedEdges = 38,
 }
 
 impl Counter {
     /// Number of registered counters.
-    pub const COUNT: usize = 45;
+    pub const COUNT: usize = 39;
 
     /// Every counter, in canonical report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -200,15 +182,9 @@ impl Counter {
         Counter::ServeDirtyLevels,
         Counter::ServeDirtyVars,
         Counter::ServeReuseHit,
-        Counter::FleetDeltaRouted,
-        Counter::FleetVarsFanout,
-        Counter::FleetRejectCrossShard,
-        Counter::FleetPublish,
         Counter::ServeFastRepaired,
         Counter::ServeFastFallback,
         Counter::ServeFastRetractedEdges,
-        Counter::FleetBalanceMin,
-        Counter::FleetBalanceMax,
     ];
 
     /// The stable dotted name used in reports and JSON.
@@ -250,15 +226,9 @@ impl Counter {
             Counter::ServeDirtyLevels => "serve.dirty.levels",
             Counter::ServeDirtyVars => "serve.dirty.vars",
             Counter::ServeReuseHit => "serve.reuse.hit",
-            Counter::FleetDeltaRouted => "fleet.delta.routed",
-            Counter::FleetVarsFanout => "fleet.vars.fanout",
-            Counter::FleetRejectCrossShard => "fleet.reject.cross-shard",
-            Counter::FleetPublish => "fleet.publish",
             Counter::ServeFastRepaired => "serve.fast.repaired",
             Counter::ServeFastFallback => "serve.fast.fallback",
             Counter::ServeFastRetractedEdges => "serve.fast.retracted-edges",
-            Counter::FleetBalanceMin => "fleet.balance.min",
-            Counter::FleetBalanceMax => "fleet.balance.max",
         }
     }
 

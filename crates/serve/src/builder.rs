@@ -1,11 +1,9 @@
 //! [`SessionBuilder`]: one declarative construction path for [`Session`]s.
 //!
 //! Sessions used to be assembled ad hoc — `Session::new(config)` followed
-//! by `set_threads`, `enable_obs`, and friends sprinkled across call sites.
-//! That shape does not scale to a fleet: `ShardManager` needs to stamp out
-//! N *identically configured* sessions, and "identically" has to mean the
-//! whole configuration, not whichever setters a call site remembered. The
-//! builder centralizes every knob:
+//! by `set_threads`, `enable_obs`, and friends sprinkled across call sites,
+//! so two sessions meant to match could differ in whichever setter a call
+//! site forgot. The builder centralizes every knob:
 //!
 //! - the [`SolverConfig`] (form, ordering, constraint-graph options), with
 //!   a shortcut for the [cycle-elimination policy](SessionBuilder::cycle_elim);
@@ -39,8 +37,7 @@ use bane_core::prelude::*;
 use crate::session::{ApplyMode, Session};
 
 /// A reusable recipe for constructing identically configured [`Session`]s.
-/// See the [module docs](self) for the knob inventory, and `ShardManager`
-/// for the fleet use case the builder exists for.
+/// See the [module docs](self) for the knob inventory.
 ///
 /// The builder is `Clone` + consuming-chainable, in the style of
 /// [`SolverConfig`].

@@ -9,7 +9,7 @@
 //! an edit actually dirtied, with every clean variable's previous set
 //! copied byte-for-byte.
 //!
-//! Five modules:
+//! Four modules:
 //!
 //! - [`delta`]: the edit language — constraint **groups** (the unit of
 //!   re-parse), added, removed, or rewritten by a [`Delta`] batch;
@@ -19,14 +19,10 @@
 //! - [`session`]: the long-lived [`Session`] — solved state plus
 //!   [`Session::apply`], with the monotone fast path vs canonical-replay
 //!   split and the byte-identity contract documented there;
-//! - [`fleet`]: the [`ShardManager`] — N sessions stamped from one
-//!   builder recipe behind a deterministic variable-ownership map, with
-//!   deltas routed to owning shards and snapshots republished into a
-//!   [`SnapshotHub`](bane_snap::SnapshotHub) for lock-free fleet queries;
 //! - [`proto`]: a framed request/response transport (`4-byte LE length +
-//!   UTF-8 text`, versioned `hello` handshake, `route` envelope) serving a
-//!   session or a fleet over any `Read + Write` pair — stdin/stdout,
-//!   pipes, or a Unix socket (`examples/serve_session.rs`).
+//!   UTF-8 text`, versioned `hello` handshake) serving a session over any
+//!   `Read + Write` pair — stdin/stdout, pipes, or a Unix socket
+//!   (`examples/serve_session.rs`).
 //!
 //! Observability: sessions with [`Session::enable_obs`] record
 //! `serve.delta.*`, `serve.dirty.*`, and `serve.reuse.hit` counters plus
@@ -61,15 +57,11 @@
 
 pub mod builder;
 pub mod delta;
-pub mod fleet;
 pub mod proto;
 pub mod session;
 
 pub use builder::SessionBuilder;
 pub use delta::{Delta, DeltaOp, GroupId};
-pub use fleet::{FleetError, FleetReport, ShardManager};
-pub use proto::{
-    parse_request, read_frame, serve, serve_fleet, write_frame, Request, Response, PROTO_VERSION,
-};
+pub use proto::{parse_request, read_frame, serve, write_frame, Request, Response, PROTO_VERSION};
 pub use bane_core::least::RevalidateOutcome;
 pub use session::{ApplyMode, ApplyReport, Session};

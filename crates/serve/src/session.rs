@@ -52,7 +52,6 @@ use bane_util::idx::Idx;
 use bane_util::FxHashMap;
 
 use crate::delta::{Delta, DeltaOp, GroupId};
-use crate::proto::intersects;
 
 /// Sub-group provenance granularity: each group's constraints are spread
 /// over this many provenance atoms (`atom = group · ATOM_BUCKETS + bucket`),
@@ -684,22 +683,9 @@ impl Session {
         self.least.arena_entries()
     }
 
-    /// Whether constraints added through [`ConstraintBuilder::add`] await
-    /// the next [`apply`](Session::apply), which then solves and
-    /// revalidates even when its batch is empty.
-    pub(crate) fn has_staged(&self) -> bool {
-        self.staged
-    }
-
     /// The re-solve tier this session was built with.
     pub fn apply_mode(&self) -> ApplyMode {
         self.mode
-    }
-
-    /// Total constraints across live (non-removed) groups — the load
-    /// measure `ShardManager` aggregates into the `fleet.balance.*` gauges.
-    pub fn live_constraints(&self) -> usize {
-        self.groups.iter().flatten().map(|g| g.constraints.len()).sum()
     }
 
     /// Writes the last committed state as a `bane-snap` snapshot at `path`
@@ -772,6 +758,19 @@ impl ConstraintBuilder for Session {
         self.groups.push(Some(group));
         self.staged = true;
     }
+}
+
+/// Whether two sorted, distinct slices intersect.
+fn intersects(a: &[TermId], b: &[TermId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -911,9 +910,9 @@ mod tests {
         assert_eq!(s.points_to(vars[3]), &[] as &[TermId]);
 
         ConstraintBuilder::add(&mut s, src, vars[0]);
-        assert!(s.has_staged());
+        assert!(s.staged);
         let report = s.apply(Delta::new());
-        assert!(!s.has_staged());
+        assert!(!s.staged);
         assert!(report.outcome.dirty_vars > 0, "the staged source was revalidated");
         for &v in &vars {
             assert_eq!(s.points_to(v), &[src], "{v:?}");

@@ -15,7 +15,7 @@
 
 use bane_core::prelude::*;
 use bane_obs::Counter;
-use bane_serve::{ApplyMode, Delta, GroupId, Session, SessionBuilder};
+use bane_serve::{ApplyMode, Delta, GroupId, SessionBuilder};
 use bane_synth::delta::{
     generate_delta_script, DeltaScript, DeltaScriptConfig, DeltaStep, ScriptBindings,
 };
@@ -214,27 +214,6 @@ fn collapse_invalidation_falls_back_to_replay() {
     assert!(report.fast_repaired, "provenance survives the fallback rebuild");
     assert_eq!(fast.points_to(vars[0]), &[] as &[TermId]);
     assert_eq!(fast.recorder().unwrap().get(Counter::ServeFastRepaired), 2);
-}
-
-/// `Session::live_constraints` tracks the live group contents — the load
-/// measure behind the `fleet.balance.*` gauges.
-#[test]
-fn live_constraints_track_group_liveness() {
-    let mut s: Session = SessionBuilder::new().build();
-    let c = s.register_nullary("c");
-    let src = s.term(c, vec![]);
-    let (x, y) = (s.fresh_var(), s.fresh_var());
-    let mut d = Delta::new();
-    d.add_group(vec![(src.into(), x.into()), (x.into(), y.into())]);
-    d.add_group(vec![(src.into(), y.into())]);
-    s.apply(d);
-    assert_eq!(s.live_constraints(), 3);
-    s.apply(Delta::new().remove_group(GroupId::new(0)).clone());
-    assert_eq!(s.live_constraints(), 1);
-    let mut e = Delta::new();
-    e.edit_group(GroupId::new(1), vec![(src.into(), y.into()), (src.into(), x.into())]);
-    s.apply(e);
-    assert_eq!(s.live_constraints(), 2);
 }
 
 /// An edit that only adds occurrences retracts nothing, so the repair

@@ -6,14 +6,15 @@
 //! Checked after every apply of random edit-heavy histories under both
 //! apply modes; before the first apply (the cold fallback); over the
 //! wire while a delta is staged but not committed (the snapshot reflects
-//! the last commit); and per shard through `ShardManager::publish_all`.
+//! the last commit). A staged term that names an uncommitted variable makes
+//! `snapshot` answer `err` and keeps the previous file.
 
 use std::path::{Path, PathBuf};
 
 use bane_core::prelude::*;
 use bane_serve::proto::execute;
-use bane_serve::{parse_request, ApplyMode, Delta, GroupId, Session, SessionBuilder, ShardManager};
-use bane_snap::{encode_solver, QueryIndex, SnapshotHub};
+use bane_serve::{parse_request, ApplyMode, Delta, GroupId, Session, SessionBuilder};
+use bane_snap::{encode_solver, QueryIndex};
 use bane_synth::delta::{
     generate_delta_script, DeltaScript, DeltaScriptConfig, DeltaStep, ScriptBindings,
 };
@@ -139,29 +140,33 @@ proptest! {
     }
 }
 
-/// A 2-shard fleet: after every routed batch, `publish_all` writes each
-/// shard's cold encode, including shards that have not applied yet.
+/// A `term` over a variable that is staged but not committed answers `ok`,
+/// yet no snapshot can hold it: the loader rejects a term argument past
+/// the variable count. `snapshot` answers `err` and the file published
+/// before stays in place and loads; once a commit creates the variable,
+/// the same frame publishes.
 #[test]
-fn fleet_publish_all_writes_per_shard_cold_encodes() {
-    for mode in MODES {
-        let script = generate_delta_script(&DeltaScriptConfig::sharded(24, 0x5a4b, 4));
-        let builder = SessionBuilder::new().apply_mode(mode);
-        let mut fleet = ShardManager::new(&builder, 2);
-        let mut bind = ScriptBindings::bind(&mut fleet, &script);
-        let dir = scratch_dir(&format!("fleet-{mode:?}"));
-        let hub = SnapshotHub::new(2);
-        let mut slots = Vec::new();
-        for (i, step) in script.steps.iter().enumerate() {
-            let report = fleet.apply(step_delta(step, &mut bind, &slots)).expect("routes");
-            slots.extend(report.new_groups);
-            let sizes = fleet.publish_all(&dir, &hub).expect("fleet publishes");
-            for (k, &size) in sizes.iter().enumerate() {
-                let bytes = std::fs::read(dir.join(format!("shard-{k}.snap"))).unwrap();
-                assert_eq!(size, bytes.len() as u64);
-                let cold = encode_solver(&mut fleet.session(k).solver().clone()).unwrap();
-                assert_eq!(bytes, cold, "{mode:?} step {i}: shard {k}");
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+fn snapshot_refuses_a_term_over_a_staged_variable() {
+    let mut session = SessionBuilder::new().build();
+    let dir = scratch_dir("staged-term");
+    let path = dir.join("session.snap");
+    let snap_frame = format!("snapshot {}", path.display());
+    let mut pending = Delta::new();
+    let mut wire =
+        |frame: &str| execute(&mut session, &mut pending, parse_request(frame).unwrap()).render();
+
+    assert!(wire(&snap_frame).starts_with("ok snapshot"));
+    let good = std::fs::read(&path).unwrap();
+    assert_eq!(wire("con c +"), "ok c2");
+    assert_eq!(wire("vars 1"), "ok staged 1 vars");
+    assert_eq!(wire("term c v0"), "ok t2");
+    let reply = wire(&snap_frame);
+    assert!(reply.starts_with("err snapshot failed: corrupt snapshot: term argument"), "{reply}");
+    assert_eq!(std::fs::read(&path).unwrap(), good, "the previous file stays");
+    QueryIndex::load(&path).expect("the previous file still loads");
+
+    assert!(wire("commit").starts_with("ok committed"));
+    assert!(wire(&snap_frame).starts_with("ok snapshot"));
+    assert_eq!(QueryIndex::load(&path).expect("the new file loads").var_count(), 1);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,11 +21,9 @@
 //!   [`reachable_sources`](QueryIndex::reachable_sources) with **no locks
 //!   and no live-solver access** — `&QueryIndex` is `Sync`, so one index
 //!   serves any number of reader threads concurrently.
-//! - [`SnapshotHub`]: N hot-swappable snapshot slots — one per shard of a
-//!   sharded fleet — behind the deterministic [`ShardRoute`] ownership map,
-//!   so republications swap in under live readers and queries resolve
-//!   against the owning shard lock-free (see `docs/SERVING.md`'s "Fleet"
-//!   section).
+//! - [`SnapshotHub`]: one hot-swappable snapshot slot, so republications
+//!   swap in under live readers and queries on a captured [`HubView`] stay
+//!   lock-free (see `docs/SERVING.md`'s "Hub" section).
 //!
 //! The serving lifecycle (write → load → query), the mmap/owned
 //! trade-offs, and a worked server example live in `docs/SERVING.md`.
@@ -68,6 +66,6 @@ pub mod writer;
 
 pub use error::SnapError;
 pub use format::{FORMAT_VERSION, MAGIC};
-pub use hub::{HubView, ShardRoute, SnapshotHub};
+pub use hub::{HubView, SnapshotHub};
 pub use index::{LoadMode, QueryIndex, QueryScratch};
 pub use writer::{encode_parts, encode_solver, write_image, write_solver};

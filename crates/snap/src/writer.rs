@@ -52,6 +52,13 @@ pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
 /// `solution`. The writer cross-checks their variable counts but cannot
 /// detect a deeper mismatch. Callers holding no solution call
 /// [`encode_solver`] instead.
+///
+/// # Errors
+///
+/// [`SnapError::Corrupt`] when the variable counts disagree or a term
+/// argument names a variable at or past the solution's count (the loader
+/// would reject that image); [`SnapError::Unsupported`] for a constructor
+/// arity above 32.
 pub fn encode_parts(
     form: Form,
     csr: &CsrSnapshot,
@@ -162,6 +169,11 @@ pub fn encode_parts(
             let (tag, payload) = match arg {
                 SetExpr::Zero => (expr_tag::ZERO, 0),
                 SetExpr::One => (expr_tag::ONE, 0),
+                // A term may name a variable no commit has created yet;
+                // the loader would reject the image, so refuse to write it.
+                SetExpr::Var(v) if v.raw() as usize >= var_count => {
+                    return Err(SnapError::Corrupt("term argument variable out of range"))
+                }
                 SetExpr::Var(v) => (expr_tag::VAR, v.raw()),
                 SetExpr::Term(t) => (expr_tag::TERM, t.raw()),
             };

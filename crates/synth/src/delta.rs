@@ -73,15 +73,6 @@ pub struct DeltaScript {
     pub nsrcs: u32,
     /// Variables created before any step runs.
     pub initial_vars: u32,
-    /// Partition count the script was generated for (1 = unpartitioned).
-    ///
-    /// When greater than 1, every group's variables share one partition
-    /// class (`var index mod partitions`), and edits keep the class of the
-    /// group they rewrite — the invariant a sharded fleet's boundary
-    /// validation demands. Because ownership is modular, a script
-    /// partitioned for `P` also routes cleanly over any `S` dividing `P`
-    /// (`v mod S = (v mod P) mod S`).
-    pub partitions: u32,
     /// The edits, in order.
     pub steps: Vec<DeltaStep>,
 }
@@ -108,16 +99,11 @@ pub struct DeltaScriptConfig {
     /// Probability a constraint's left endpoint is a source (vs a
     /// variable).
     pub src_prob: f64,
-    /// Partition classes to confine groups to (1 = unpartitioned; see
-    /// [`DeltaScript::partitions`]). Generation with `partitions == 1` is
-    /// bit-identical to the pre-partitioning generator, so existing seeds
-    /// keep producing the same scripts.
-    pub partitions: u32,
     /// Multiplier on the non-monotone step probabilities (`remove_prob`
     /// and `edit_prob`): `2.0` doubles the odds of a step retracting
     /// constraints, `0.0` forces a purely monotone history. The default
     /// `1.0` is bit-identical to the pre-knob generator (same RNG draws,
-    /// same scripts for existing seeds) — the `partitions` precedent.
+    /// same scripts for existing seeds).
     /// Probabilities are clamped to 1.0 after weighting.
     pub edit_weight: f64,
 }
@@ -134,7 +120,6 @@ impl Default for DeltaScriptConfig {
             remove_prob: 0.15,
             edit_prob: 0.25,
             src_prob: 0.3,
-            partitions: 1,
             edit_weight: 1.0,
         }
     }
@@ -146,12 +131,6 @@ impl DeltaScriptConfig {
         DeltaScriptConfig { seed, steps, ..Self::default() }
     }
 
-    /// A config of `steps` steps under `seed`, partitioned into
-    /// `partitions` classes for sharded serving.
-    pub fn sharded(steps: usize, seed: u64, partitions: u32) -> Self {
-        DeltaScriptConfig { seed, steps, partitions: partitions.max(1), ..Self::default() }
-    }
-
     /// A config of `steps` steps under `seed` with the non-monotone step
     /// probabilities scaled by `weight` — the edit-heavy histories the
     /// `ApplyMode::Fast` equivalence tests and the `fast_apply` bench
@@ -161,45 +140,23 @@ impl DeltaScriptConfig {
     }
 }
 
-/// Number of variable indices below `vars` that fall in partition `class`
-/// (indices congruent to `class` mod `partitions`).
-fn class_size(vars: u32, class: u32, partitions: u32) -> u32 {
-    if vars > class {
-        (vars - class).div_ceil(partitions)
-    } else {
-        0
-    }
-}
-
 /// Generates a script per `config`. Deterministic in the config.
 pub fn generate_delta_script(config: &DeltaScriptConfig) -> DeltaScript {
     let mut rng = SplitMix64::new(config.seed);
-    let partitions = config.partitions.max(1);
     let weight = config.edit_weight.max(0.0);
     let remove_prob = (config.remove_prob * weight).min(1.0);
     let edit_prob = (config.edit_prob * weight).min(1.0);
-    // Every partition class needs variables to sample from the start.
-    let initial_vars = config.initial_vars.max(2).max(partitions * 2);
+    let initial_vars = config.initial_vars.max(2);
     let mut vars = initial_vars;
     let mut live: Vec<usize> = Vec::new(); // live slots, in slot order
-    let mut slot_class: Vec<u32> = Vec::new(); // partition class per slot
     let mut slots = 0usize;
     let mut steps = Vec::with_capacity(config.steps);
 
-    let group = |rng: &mut SplitMix64, vars: u32, class: u32| -> Vec<ConSpec> {
+    let group = |rng: &mut SplitMix64, vars: u32| -> Vec<ConSpec> {
         let lo = config.group_size.0.max(1);
         let hi = config.group_size.1.max(lo);
         let n = lo + rng.next_below((hi - lo + 1) as u64) as usize;
-        // With partitions == 1 the class-confined draw degenerates to the
-        // historical uniform draw, bit for bit.
-        let pick_var = |rng: &mut SplitMix64| -> u32 {
-            if partitions == 1 {
-                rng.next_below(vars as u64) as u32
-            } else {
-                let size = class_size(vars, class, partitions);
-                class + (rng.next_below(size as u64) as u32) * partitions
-            }
-        };
+        let pick_var = |rng: &mut SplitMix64| rng.next_below(vars as u64) as u32;
         (0..n)
             .map(|_| {
                 let rhs = pick_var(rng);
@@ -224,27 +181,22 @@ pub fn generate_delta_script(config: &DeltaScriptConfig) -> DeltaScript {
         } else if !live.is_empty() && rng.next_bool(edit_prob) {
             let i = rng.next_below(live.len() as u64) as usize;
             let slot = live[i];
-            let constraints = group(&mut rng, vars, slot_class[slot]);
+            let constraints = group(&mut rng, vars);
             steps.push(DeltaStep::EditGroup { slot, constraints });
         } else {
-            let class =
-                if partitions == 1 { 0 } else { rng.next_below(partitions as u64) as u32 };
-            steps.push(DeltaStep::AddGroup(group(&mut rng, vars, class)));
+            steps.push(DeltaStep::AddGroup(group(&mut rng, vars)));
             live.push(slots);
-            slot_class.push(class);
             slots += 1;
         }
     }
 
-    DeltaScript { nsrcs: config.nsrcs, initial_vars, partitions, steps }
+    DeltaScript { nsrcs: config.nsrcs, initial_vars, steps }
 }
 
 impl DeltaScript {
     /// Checks the structural invariants: every edit/removal names a group
-    /// that exists and is live at that point, every constraint only
-    /// references variables and sources that exist at its step, and — for
-    /// partitioned scripts — every group's variables share one partition
-    /// class, preserved across edits (see [`partitions`](Self::partitions)).
+    /// that exists and is live at that point, and every constraint only
+    /// references variables and sources that exist at its step.
     ///
     /// Returns the first violation as a message.
     ///
@@ -254,8 +206,6 @@ impl DeltaScript {
     pub fn validate(&self) -> Result<(), String> {
         let mut vars = self.initial_vars;
         let mut live: Vec<bool> = Vec::new();
-        let mut classes: Vec<u32> = Vec::new();
-        let partitions = self.partitions.max(1);
         let check_group = |constraints: &[ConSpec], vars: u32, step: usize| -> Result<(), String> {
             for c in constraints {
                 if c.rhs >= vars {
@@ -273,38 +223,11 @@ impl DeltaScript {
             }
             Ok(())
         };
-        // The partition class of a group's variables (empty groups default
-        // to class 0, matching the fleet's owner assignment), or an error
-        // when the group's variables straddle classes.
-        let class_of = |constraints: &[ConSpec], step: usize| -> Result<u32, String> {
-            let mut class = None;
-            for c in constraints {
-                let mut check = |v: u32| -> Result<(), String> {
-                    let own = v % partitions;
-                    match class {
-                        None => class = Some(own),
-                        Some(c0) if c0 != own => {
-                            return Err(format!(
-                                "step {step}: group straddles partition classes {c0} and {own}"
-                            ))
-                        }
-                        Some(_) => {}
-                    }
-                    Ok(())
-                };
-                check(c.rhs)?;
-                if let EndpointSpec::Var(v) = c.lhs {
-                    check(v)?;
-                }
-            }
-            Ok(class.unwrap_or(0))
-        };
         for (i, step) in self.steps.iter().enumerate() {
             match step {
                 DeltaStep::GrowVars(n) => vars += n,
                 DeltaStep::AddGroup(cs) => {
                     check_group(cs, vars, i)?;
-                    classes.push(class_of(cs, i)?);
                     live.push(true);
                 }
                 DeltaStep::EditGroup { slot, constraints } => {
@@ -312,13 +235,6 @@ impl DeltaScript {
                         return Err(format!("step {i}: edit of dead/unknown slot {slot}"));
                     }
                     check_group(constraints, vars, i)?;
-                    let class = class_of(constraints, i)?;
-                    if partitions > 1 && !constraints.is_empty() && class != classes[*slot] {
-                        return Err(format!(
-                            "step {i}: edit of slot {slot} moves it from partition class {} to {class}",
-                            classes[*slot]
-                        ));
-                    }
                 }
                 DeltaStep::RemoveGroup { slot } => {
                     if !live.get(*slot).copied().unwrap_or(false) {
@@ -427,68 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_scripts_confine_groups_to_one_class() {
-        for partitions in [2u32, 4] {
-            let script =
-                generate_delta_script(&DeltaScriptConfig::sharded(80, 0x5a4d, partitions));
-            assert_eq!(script.partitions, partitions);
-            script.validate().expect("partitioned script validates");
-            // Spot-check the invariant directly, not just through validate.
-            let mut saw_classes = vec![false; partitions as usize];
-            for step in &script.steps {
-                let cs = match step {
-                    DeltaStep::AddGroup(cs) | DeltaStep::EditGroup { constraints: cs, .. } => cs,
-                    _ => continue,
-                };
-                let class = cs[0].rhs % partitions;
-                saw_classes[class as usize] = true;
-                for c in cs {
-                    assert_eq!(c.rhs % partitions, class);
-                    if let EndpointSpec::Var(v) = c.lhs {
-                        assert_eq!(v % partitions, class);
-                    }
-                }
-            }
-            assert!(
-                saw_classes.iter().all(|&s| s),
-                "an 80-step script samples every class: {saw_classes:?}"
-            );
-        }
-        // partitions == 1 reproduces the unpartitioned generator exactly.
-        let plain = generate_delta_script(&DeltaScriptConfig::sized(40, 7));
-        let one = generate_delta_script(&DeltaScriptConfig::sharded(40, 7, 1));
-        assert_eq!(plain, one);
-    }
-
-    #[test]
-    fn validate_rejects_partition_violations() {
-        let straddle = DeltaScript {
-            nsrcs: 0,
-            initial_vars: 4,
-            partitions: 2,
-            steps: vec![DeltaStep::AddGroup(vec![ConSpec {
-                lhs: EndpointSpec::Var(0),
-                rhs: 1,
-            }])],
-        };
-        assert!(straddle.validate().unwrap_err().contains("straddles"));
-
-        let class_move = DeltaScript {
-            nsrcs: 0,
-            initial_vars: 4,
-            partitions: 2,
-            steps: vec![
-                DeltaStep::AddGroup(vec![ConSpec { lhs: EndpointSpec::Var(0), rhs: 2 }]),
-                DeltaStep::EditGroup {
-                    slot: 0,
-                    constraints: vec![ConSpec { lhs: EndpointSpec::Var(1), rhs: 3 }],
-                },
-            ],
-        };
-        assert!(class_move.validate().unwrap_err().contains("moves it"));
-    }
-
-    #[test]
     fn edit_weight_one_is_bit_identical_and_heavier_weights_retract_more() {
         // weight 1.0 must not perturb a single RNG draw.
         let plain = generate_delta_script(&DeltaScriptConfig::sized(120, 7));
@@ -538,7 +392,6 @@ mod tests {
         let dead_edit = DeltaScript {
             nsrcs: 1,
             initial_vars: 2,
-            partitions: 1,
             steps: vec![DeltaStep::EditGroup { slot: 0, constraints: vec![] }],
         };
         assert!(dead_edit.validate().is_err());
@@ -546,7 +399,6 @@ mod tests {
         let out_of_range = DeltaScript {
             nsrcs: 1,
             initial_vars: 2,
-            partitions: 1,
             steps: vec![DeltaStep::AddGroup(vec![ConSpec {
                 lhs: EndpointSpec::Var(5),
                 rhs: 0,
@@ -557,7 +409,6 @@ mod tests {
         let double_remove = DeltaScript {
             nsrcs: 0,
             initial_vars: 2,
-            partitions: 1,
             steps: vec![
                 DeltaStep::AddGroup(vec![]),
                 DeltaStep::RemoveGroup { slot: 0 },

@@ -21,8 +21,7 @@
 //! `bane::snap::SnapshotHub` — a watcher thread detects the new snapshot
 //! by mtime and calls `publish_path`, which loads the fresh index *outside*
 //! the slot lock and swaps only the `Arc` pointer, so readers never block
-//! on the reload. The same hub scales to N slots for a sharded fleet (see
-//! `docs/SERVING.md`'s "Fleet" section).
+//! on the reload (see `docs/SERVING.md`'s "Hub" section).
 
 use bane::core::prelude::*;
 use bane::obs::Recorder;
@@ -193,8 +192,6 @@ fn run_reload(scale: f64) {
     let bytes = session.publish_snapshot(&path).expect("publish snapshot");
     println!("published {bytes} bytes to {}", path.display());
 
-    // One hub slot = one shard; `ShardManager::publish_all` feeds the same
-    // hub one slot per shard.
     let hub = Arc::new(SnapshotHub::new(1));
     hub.publish_path(0, &path).expect("load snapshot");
     let n1 = hub.get(0).expect("published").var_count();

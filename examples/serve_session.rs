@@ -12,42 +12,27 @@
 //! With `--stdio` the example instead serves framed requests on
 //! stdin/stdout — each frame is a 4-byte little-endian length prefix
 //! followed by UTF-8 text (see `bane::serve::proto`) — turning it into a
-//! real constraint-solving service for an external client. Add
-//! `--fleet <n>` to stand up an `n`-shard [`ShardManager`] behind the same
-//! endpoint: the protocol v2 `hello` handshake reports the width, deltas
-//! route to the shard owning their variables, and `route <k> <query>`
-//! addresses one shard explicitly.
+//! real constraint-solving service for an external client.
 //!
 //! [`Session`]: bane::serve::Session
-//! [`ShardManager`]: bane::serve::ShardManager
 
 use bane::core::prelude::*;
-use bane::serve::{read_frame, serve, serve_fleet, write_frame, SessionBuilder, ShardManager};
+use bane::serve::{read_frame, serve, write_frame, SessionBuilder};
 use std::os::unix::net::UnixStream;
 
 fn main() {
     let mut stdio = false;
-    let mut fleet: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--stdio" => stdio = true,
-            "--fleet" => {
-                fleet = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--fleet expects a positive shard count")),
-                )
-            }
-            "--help" | "-h" => die("usage: serve_session [--stdio] [--fleet <n>]"),
+            "--help" | "-h" => die("usage: serve_session [--stdio]"),
             other => die(&format!("unknown argument {other}")),
         }
     }
-    match (stdio, fleet) {
-        (true, shards) => run_stdio(shards),
-        (false, Some(shards)) => run_fleet_demo(shards),
-        (false, None) => run_demo(),
+    if stdio {
+        run_stdio();
+    } else {
+        run_demo();
     }
 }
 
@@ -56,26 +41,11 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One builder recipe for every serving mode in this example.
-fn builder() -> SessionBuilder {
-    SessionBuilder::new()
-}
-
-/// Serves stdin/stdout until EOF or `quit` — one session, or an `n`-shard
-/// fleet when `--fleet` is given.
-fn run_stdio(fleet: Option<usize>) {
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout().lock();
-    match fleet {
-        Some(shards) => {
-            let mut manager = ShardManager::new(&builder(), shards);
-            serve_fleet(&mut manager, stdin, stdout).expect("serve loop");
-        }
-        None => {
-            let mut session = builder().build();
-            serve(&mut session, stdin, stdout).expect("serve loop");
-        }
-    }
+/// Serves stdin/stdout until EOF or `quit`.
+fn run_stdio() {
+    let mut session = SessionBuilder::new().build();
+    let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+    serve(&mut session, stdin, stdout).expect("serve loop");
 }
 
 /// One client request/response exchange over the socket.
@@ -91,7 +61,7 @@ fn ask(stream: &mut UnixStream, request: &str) -> String {
 fn run_demo() {
     let (mut client, server) = UnixStream::pair().expect("socket pair");
     let server_thread = std::thread::spawn(move || {
-        let mut session = builder().build();
+        let mut session = SessionBuilder::new().build();
         let (input, output) = (server.try_clone().expect("clone socket"), server);
         serve(&mut session, input, output).expect("serve loop");
     });
@@ -154,63 +124,4 @@ fn run_demo() {
     assert_eq!(ls.get(v3), &[] as &[TermId]);
     assert_eq!(ls.get(v4), &[src]);
     println!("incremental answers match the from-scratch least solution: ok");
-}
-
-/// The fleet demo: the same wire conversation against an `n`-shard
-/// `ShardManager` — the handshake reports the width, groups route by
-/// variable ownership (`v mod n`), and cross-shard alias queries intersect
-/// the owners' answers.
-fn run_fleet_demo(shards: usize) {
-    let (mut client, server) = UnixStream::pair().expect("socket pair");
-    let server_thread = std::thread::spawn(move || {
-        let mut manager = ShardManager::new(&builder(), shards);
-        let (input, output) = (server.try_clone().expect("clone socket"), server);
-        serve_fleet(&mut manager, input, output).expect("serve loop");
-    });
-
-    println!("== 1. handshake ==");
-    let hello = ask(&mut client, "hello 2");
-    assert_eq!(hello, format!("ok proto=2 shards={shards} mode=exact"));
-
-    println!("\n== 2. build per-shard chains from one source ==");
-    ask(&mut client, "con s");
-    ask(&mut client, "term s");
-    ask(&mut client, &format!("vars {}", 2 * shards));
-    // One group per shard: t2 ⊆ v_k ⊆ v_{k+shards} stays in owner class k.
-    for k in 0..shards {
-        ask(&mut client, &format!("group t2 <= v{k} ; v{k} <= v{}", k + shards));
-    }
-    let committed = ask(&mut client, "commit");
-    assert!(committed.starts_with("ok committed path=monotone"), "{committed}");
-
-    println!("\n== 3. query across shards ==");
-    for k in 0..shards {
-        assert_eq!(ask(&mut client, &format!("points-to v{}", k + shards)), "ok {t2}");
-    }
-    if shards > 1 {
-        // v_shards and v_{shards+1} live on different shards but share t2.
-        assert_eq!(
-            ask(&mut client, &format!("alias v{} v{}", shards, shards + 1)),
-            "ok yes"
-        );
-        let routed = ask(&mut client, "route 1 points-to v1");
-        assert_eq!(routed, "ok {t2}", "owner's view over the route envelope");
-        let foreign = ask(&mut client, "route 0 points-to v1");
-        assert_eq!(foreign, "ok {}", "a non-owner sees the empty set");
-    }
-    let stats = ask(&mut client, "stats");
-    assert!(stats.starts_with("ok constraints="), "{stats}");
-
-    println!("\n== 4. the boundary rejects cross-shard groups ==");
-    if shards > 1 {
-        ask(&mut client, "group v0 <= v1");
-        let rejected = ask(&mut client, "commit");
-        assert!(rejected.starts_with("err rejected: cross-shard group"), "{rejected}");
-        // The rejection was atomic; answers are unchanged.
-        assert_eq!(ask(&mut client, "points-to v1"), "ok {t2}");
-    }
-
-    ask(&mut client, "quit");
-    server_thread.join().expect("server thread");
-    println!("\nfleet of {shards}: routed answers match, boundary holds: ok");
 }
