@@ -228,6 +228,12 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
     pub(crate) fn grow(&mut self, capacity: usize) {
         self.visited.grow(capacity);
     }
+
+    /// Forgets every search, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.visited.clear();
+        self.stack.clear();
+    }
 }
 
 /// Reusable scratch for one *offline* cycle-elimination sweep: Tarjan over
@@ -291,6 +297,11 @@ impl CycleSweep {
     #[cfg(feature = "obs")]
     pub(crate) fn epoch_resets(&self) -> u64 {
         self.scratch.epoch_resets()
+    }
+
+    /// Forgets every sweep, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.scratch.clear();
     }
 }
 

@@ -45,6 +45,15 @@ impl Forwarding {
         v
     }
 
+    /// Makes every registered variable its own representative again and
+    /// zeroes the collapse count, keeping the table's allocation.
+    pub(crate) fn reset(&mut self) {
+        for (i, p) in self.parent.iter_mut().enumerate() {
+            *p = Var::new(i);
+        }
+        self.collapsed = 0;
+    }
+
     /// Number of registered variables (including collapsed ones).
     pub fn len(&self) -> usize {
         self.parent.len()

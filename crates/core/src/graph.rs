@@ -140,6 +140,13 @@ impl<T: Copy + Eq + Hash> AdjList<T> {
         }
     }
 
+    /// Empties the list and reverts it to small mode, keeping the `Vec`'s
+    /// and the hash set's capacity.
+    fn clear(&mut self) {
+        self.items.clear();
+        self.set.clear();
+    }
+
     /// Empties the list, returning the entries and reverting to small mode.
     fn take(&mut self) -> Vec<T> {
         self.set.clear();
@@ -226,6 +233,15 @@ impl VarNode {
     /// Sink terms this node flows into (`self → c(…)`).
     pub(crate) fn succ_snks(&self) -> &[TermId] {
         self.succ_snks.as_slice()
+    }
+
+    /// Empties the four lists in place (see [`Graph::reset`]).
+    fn clear(&mut self) {
+        self.pred_vars.clear();
+        self.succ_vars.clear();
+        self.pred_srcs.clear();
+        self.succ_snks.clear();
+        self.compacted_at = 0;
     }
 
     fn take(&mut self) -> TakenEdges {
@@ -346,6 +362,17 @@ impl Graph {
     /// Adds a node for the next variable.
     pub fn push_node(&mut self) -> Var {
         self.nodes.push(VarNode::default())
+    }
+
+    /// Removes every edge and the promotion log, keeping the nodes and the
+    /// capacity of their lists: each list is back in small mode with a zero
+    /// compaction stamp, as [`push_node`](Graph::push_node) makes it.
+    pub(crate) fn reset(&mut self) {
+        for node in self.nodes.iter_mut() {
+            node.clear();
+        }
+        #[cfg(feature = "obs")]
+        self.promotions.clear();
     }
 
     /// Number of variable nodes ever created (including collapsed ones).
@@ -687,6 +714,27 @@ mod tests {
         assert_eq!(g.insert_succ_var(hub, Var::new(1)), Insert::Redundant);
         // A no-op retain removes nothing.
         assert_eq!(g.retain_succ_vars(hub, |_, _| true), 0);
+    }
+
+    #[test]
+    fn reset_empties_every_list_back_to_small_mode() {
+        let n = SMALL_DEGREE_MAX + 3;
+        let (mut g, mut f) = graph_with(n + 2);
+        let hub = Var::new(n);
+        for i in 0..n {
+            g.insert_succ_var(hub, Var::new(i));
+            g.insert_src(hub, TermId::new(i));
+        }
+        f.union_into(Var::new(0), Var::new(n + 1));
+        g.compact_node(hub, &f);
+        g.reset();
+        assert_eq!(g.len(), n + 2, "nodes are kept");
+        assert!(g.node(hub).succ_vars().is_empty() && g.node(hub).pred_srcs().is_empty());
+        assert!(!g.nodes[hub].succ_vars.is_promoted() && !g.nodes[hub].pred_srcs.is_promoted());
+        assert_eq!(g.nodes[hub].compacted_at, 0, "compaction stamp");
+        // Membership starts over: a re-insert is new, a repeat redundant.
+        assert_eq!(g.insert_succ_var(hub, Var::new(0)), Insert::New);
+        assert_eq!(g.insert_succ_var(hub, Var::new(0)), Insert::Redundant);
     }
 
     #[test]

@@ -190,6 +190,15 @@ impl CsrSnapshot {
         Self::default()
     }
 
+    /// Empties the snapshot, as [`new`](CsrSnapshot::new) makes it, keeping
+    /// the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.var_rows.clear();
+        self.cols.clear();
+        self.src_rows.clear();
+        self.srcs.clear();
+    }
+
     /// Freezes `parts` into CSR form. `layout` must be the evaluation order
     /// from [`LeastParts::layout_order_into`]; rows are written in that
     /// order so the evaluating sweep streams the column arrays.

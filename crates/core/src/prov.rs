@@ -84,6 +84,12 @@ impl ProvTable {
         }
     }
 
+    /// Drops every node but the two sentinels, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.truncate(2);
+        self.leaves.clear();
+    }
+
     /// Number of nodes (including the sentinels).
     pub fn len(&self) -> usize {
         self.nodes.len()

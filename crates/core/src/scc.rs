@@ -80,6 +80,12 @@ impl<E: EpochStamp> TarjanScratchImpl<E> {
     pub(crate) fn epoch_resets(&self) -> u64 {
         self.visited.resets()
     }
+
+    /// Forgets every pass, keeping the buffers (see
+    /// [`EpochSetImpl::clear`]).
+    pub(crate) fn clear(&mut self) {
+        self.visited.clear();
+    }
 }
 
 /// Computes SCCs of the graph with nodes `0..n` and adjacency `adj`

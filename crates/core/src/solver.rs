@@ -280,6 +280,12 @@ impl Worklist {
     fn is_empty(&self) -> bool {
         self.queue.is_empty() && self.tail == 0
     }
+
+    /// Drops every entry and the discharged tail, keeping the ring.
+    fn clear(&mut self) {
+        self.queue.clear();
+        self.tail = 0;
+    }
 }
 
 /// Per-node provenance mirrors, positionally parallel to the node's four
@@ -327,6 +333,43 @@ struct ProvState {
     /// damaged variable, which is what lets the repair pass re-fire only
     /// scans near the damage instead of replaying every canonical edge.
     damaged: Vec<Var>,
+}
+
+impl ProvState {
+    /// A new state for a graph of `nodes` variables: only the sentinels in
+    /// the table, no group tag, empty mirrors and logs.
+    fn new(nodes: usize) -> Self {
+        ProvState {
+            table: ProvTable::new(),
+            pending_prov: VecDeque::new(),
+            current_group: ProvTable::EMPTY,
+            current: ProvTable::EMPTY,
+            nodes: vec![NodeProv::default(); nodes],
+            collapse_log: Vec::new(),
+            next_justification: None,
+            error_prov: Vec::new(),
+            damaged: Vec::new(),
+        }
+    }
+
+    /// Returns to [`new`](ProvState::new) over the same variables, keeping
+    /// every buffer.
+    fn clear(&mut self) {
+        self.table.clear();
+        self.pending_prov.clear();
+        self.current_group = ProvTable::EMPTY;
+        self.current = ProvTable::EMPTY;
+        for mirror in &mut self.nodes {
+            mirror.pred_vars.clear();
+            mirror.succ_vars.clear();
+            mirror.pred_srcs.clear();
+            mirror.succ_snks.clear();
+        }
+        self.collapse_log.clear();
+        self.next_justification = None;
+        self.error_prov.clear();
+        self.damaged.clear();
+    }
 }
 
 /// The inclusion-constraint solver.
@@ -429,6 +472,64 @@ impl Solver {
             solver.add(lhs, rhs);
         }
         solver
+    }
+
+    /// Forgets every constraint and everything derived from them, keeping
+    /// the registrations. Afterwards the solver is observably identical to
+    /// [`from_problem`](Solver::from_problem) of its own constructors, terms
+    /// and variable count, with [`enable_provenance`](Solver::enable_provenance)
+    /// and `enable_obs` applied again if they were on: the same `Stats`,
+    /// census, inconsistencies, least solution and run report after the
+    /// same constraints are fed and solved.
+    ///
+    /// It keeps the configuration, the constructor and term tables, every
+    /// variable with its order stamp (stamps depend only on the policy and
+    /// the creation index, so a new solver would draw the same ones), and
+    /// whether provenance and observability are on. It clears `Stats`, the
+    /// inconsistencies, the worklist with its discharged tail, forwarding
+    /// (back to the identity, no collapses counted), every adjacency list
+    /// with its compaction stamp, the source and sink term sets, the
+    /// variable-variable, union and promotion logs, the provenance DAG with
+    /// its mirrors, the frozen CSR, and the recorder's counters, timers and
+    /// events.
+    ///
+    /// It keeps the allocations. A session replays almost the same system
+    /// after every non-monotone edit, so the closure it re-derives has about
+    /// the shape of the one it forgets: each node's four adjacency lists and
+    /// their promoted hash sets, the worklist ring, the forwarding array,
+    /// the chain-search and sweep scratch, the CSR buffers and the
+    /// provenance mirrors are cleared, not freed, and the solve refills
+    /// them instead of growing each from empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an oracle solver ([`with_oracle`](Solver::with_oracle)):
+    /// its variable creations alias per the partition, which a replay of
+    /// different constraints would not reproduce.
+    pub fn reset(&mut self) {
+        assert!(self.oracle.is_none(), "reset does not support oracle solvers");
+        self.stats = Stats::default();
+        self.errors.clear();
+        self.pending.clear();
+        self.graph.reset();
+        self.fwd.reset();
+        self.search.clear();
+        self.cycle_sweep.clear();
+        self.csr.clear();
+        self.varvar_log.clear();
+        self.union_log.clear();
+        self.source_terms.clear();
+        self.sink_terms.clear();
+        if let Some(p) = &mut self.prov {
+            p.clear();
+        }
+        #[cfg(feature = "obs")]
+        {
+            if let Some(rec) = &self.obs {
+                rec.reset();
+            }
+            self.promotions_reported = 0;
+        }
     }
 
     fn build(config: SolverConfig, oracle: Option<Partition>) -> Self {
@@ -574,17 +675,7 @@ impl Solver {
         if self.prov.is_some() {
             return;
         }
-        self.prov = Some(Box::new(ProvState {
-            table: ProvTable::new(),
-            pending_prov: VecDeque::new(),
-            current_group: ProvTable::EMPTY,
-            current: ProvTable::EMPTY,
-            nodes: vec![NodeProv::default(); self.graph.len()],
-            collapse_log: Vec::new(),
-            next_justification: None,
-            error_prov: Vec::new(),
-            damaged: Vec::new(),
-        }));
+        self.prov = Some(Box::new(ProvState::new(self.graph.len())));
     }
 
     /// Whether [`enable_provenance`](Solver::enable_provenance) was called.
@@ -2336,5 +2427,129 @@ mod prov_tests {
             s.retract_groups(&[99]).is_none(),
             "TOP justification intersects every retraction"
         );
+    }
+}
+
+#[cfg(test)]
+mod reset_tests {
+    use super::*;
+
+    /// Asserts that every piece of derived state is what
+    /// [`Solver::from_problem`] builds, including the parts no solve can
+    /// observe: the worklist's discharged tail, the collapse count, the term
+    /// sets and the provenance table.
+    fn assert_like_new(s: &Solver) {
+        assert_eq!(s.stats, Stats::default());
+        assert!(s.errors.is_empty());
+        assert!(s.pending.queue.is_empty());
+        assert_eq!(s.pending.tail, 0, "discharged tail");
+        assert_eq!(s.fwd.collapsed_count(), 0, "collapse count");
+        assert_eq!(s.fwd.len(), s.graph.len());
+        for i in 0..s.graph.len() {
+            let v = Var::new(i);
+            assert!(s.fwd.is_rep(v), "{v:?} still forwarded");
+            let node = s.graph.node(v);
+            assert!(node.pred_vars().is_empty() && node.succ_vars().is_empty());
+            assert!(node.pred_srcs().is_empty() && node.succ_snks().is_empty());
+        }
+        assert!(s.source_terms.is_empty() && s.sink_terms.is_empty(), "term sets");
+        assert!(s.varvar_log.is_empty() && s.union_log.is_empty());
+        let (var_rows, cols, src_rows, srcs) = s.csr.raw_parts();
+        assert!(var_rows.is_empty() && cols.is_empty() && src_rows.is_empty() && srcs.is_empty());
+        if let Some(p) = &s.prov {
+            assert_eq!(p.table.len(), 2, "provenance table holds only the sentinels");
+            assert!(p.pending_prov.is_empty());
+            assert_eq!((p.current_group, p.current), (ProvTable::EMPTY, ProvTable::EMPTY));
+            assert_eq!(p.nodes.len(), s.graph.len());
+            for m in &p.nodes {
+                assert!(m.pred_vars.is_empty() && m.succ_vars.is_empty());
+                assert!(m.pred_srcs.is_empty() && m.succ_snks.is_empty());
+            }
+            assert!(p.collapse_log.is_empty() && p.error_prov.is_empty() && p.damaged.is_empty());
+            assert!(p.next_justification.is_none());
+        }
+        #[cfg(feature = "obs")]
+        {
+            assert!(s.graph.promotions().is_empty());
+            assert_eq!(s.promotions_reported, 0);
+            let rec = s.obs.as_deref().expect("obs on");
+            assert!(rec.counters().nonzero().is_empty());
+            assert_eq!(rec.events_emitted(), 0);
+        }
+    }
+
+    /// Registers `c`, `g(co, contra)` and four variables, and feeds, in
+    /// this order: `g(v0, 0) ⊆ g(v1, 0)` (whose contravariant argument
+    /// `0 ⊆ 0` is discharged) and `c ⊆ v3` as group 1, then
+    /// `c ⊆ v0 ⊆ v1 ⊆ v0` (a cycle) as group 0.
+    fn fed(config: SolverConfig, prov: bool) -> Solver {
+        let mut s = Solver::new(config);
+        if prov {
+            s.enable_provenance();
+        }
+        #[cfg(feature = "obs")]
+        s.enable_obs();
+        let c = s.register_nullary("c");
+        let g = s.register_con("g", vec![Variance::Covariant, Variance::Contravariant]);
+        let csrc = s.term(c, vec![]);
+        let vs: Vec<Var> = (0..4).map(|_| s.fresh_var()).collect();
+        let gx = s.term(g, vec![vs[0].into(), SetExpr::Zero]);
+        let gy = s.term(g, vec![vs[1].into(), SetExpr::Zero]);
+        s.set_current_group(Some(1));
+        s.add(gx, gy);
+        s.add(csrc, vs[3]);
+        s.set_current_group(Some(0));
+        s.add(csrc, vs[0]);
+        s.add(vs[0], vs[1]);
+        s.add(vs[1], vs[0]);
+        s.set_current_group(None);
+        s
+    }
+
+    #[test]
+    fn reset_returns_to_a_new_solvers_state() {
+        for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
+            for prov in [false, true] {
+                // Converged, with the cycle collapsed.
+                let mut s = fed(config, prov);
+                s.solve();
+                assert!(s.fwd.collapsed_count() > 0 && !s.source_terms.is_empty());
+                s.reset();
+                assert_like_new(&s);
+
+                // A bail-out: `g(v0, 0) ⊆ g(v1, 0)` queued `v0 ⊆ v1` and
+                // discharged `0 ⊆ 0`, then `c ⊆ v3` went over the limit.
+                let mut s = fed(config, prov);
+                assert!(!s.solve_limited(0));
+                assert!(!s.pending.queue.is_empty() && s.pending.tail > 0, "{:?}", s.pending);
+                s.reset();
+                assert_like_new(&s);
+
+                // A retraction and repair of the group the collapse does not
+                // depend on (provenance only).
+                if prov {
+                    let mut s = fed(config, prov);
+                    s.solve();
+                    assert!(s.prov.as_ref().expect("on").table.len() > 2);
+                    s.retract_groups(&[1]).expect("group 1 justifies no collapse");
+                    s.repair_refire();
+                    s.solve();
+                    s.reset();
+                    assert_like_new(&s);
+                }
+
+                // Registrations survive, and the reset solver solves again.
+                let (vars, terms, cons) = (s.graph.len(), s.terms.len(), s.cons.len());
+                s.reset();
+                assert_eq!((s.graph.len(), s.terms.len(), s.cons.len()), (vars, terms, cons));
+                assert_eq!(s.provenance_enabled(), prov);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reset does not support oracle solvers")]
+    fn reset_panics_on_an_oracle_solver() {
+        Solver::with_oracle(SolverConfig::if_online(), Partition::identity(0)).reset();
     }
 }

@@ -64,7 +64,7 @@ use bane_core::Variance;
 use bane_util::idx::Idx;
 
 use crate::delta::{Delta, DeltaOp, GroupId};
-use crate::session::Session;
+use crate::session::{GroupFault, Session};
 
 /// Maximum accepted frame length (1 MiB) — guards the length-prefixed
 /// reader against garbage prefixes.
@@ -326,17 +326,20 @@ fn render_levels(o: RevalidateOutcome) -> Response {
     ))
 }
 
-/// The `err` reply for a staged `drop` or `edit` of `g` when the server has
-/// no live group `g` (`live` is false) or `pending` already drops it: either
-/// way the batch would name a removed group when it commits.
-fn check_group(live: bool, pending: &Delta, g: GroupId) -> Result<(), Response> {
-    if !live {
-        return Err(Response::Err(format!("no such group {g}")));
+/// The `err` reply for a staged `drop` or `edit` of `g` when the session has
+/// no live group `g` or `pending` already drops it: either way the batch
+/// would name a removed group when it commits. Only committed slots count,
+/// since a client learns a new group's id from the commit that creates it.
+fn check_group(session: &Session, pending: &Delta, g: GroupId) -> Result<(), Response> {
+    match session.group_fault(g, session.group_slots(), pending.ops()) {
+        None => Ok(()),
+        Some(GroupFault::Missing | GroupFault::Removed) => {
+            Err(Response::Err(format!("no such group {g}")))
+        }
+        Some(GroupFault::DroppedInBatch) => {
+            Err(Response::Err(format!("group {g} already dropped in this batch")))
+        }
     }
-    if pending.ops().contains(&DeltaOp::RemoveGroup(g)) {
-        return Err(Response::Err(format!("group {g} already dropped in this batch")));
-    }
-    Ok(())
 }
 
 /// The `err` reply for the first of `vars` that `known` rejects: a read
@@ -439,7 +442,7 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("staged group ({n} constraints)"))
         }
         Request::EditGroup(g, constraints) => {
-            if let Err(e) = check_group(session.group(g).is_some(), pending, g)
+            if let Err(e) = check_group(session, pending, g)
                 .and_then(|()| check_constraints(session.solver(), pending, &constraints))
             {
                 return e;
@@ -449,7 +452,7 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("staged edit {g} ({n} constraints)"))
         }
         Request::RemoveGroup(g) => {
-            if let Err(e) = check_group(session.group(g).is_some(), pending, g) {
+            if let Err(e) = check_group(session, pending, g) {
                 return e;
             }
             pending.remove_group(g);

@@ -13,9 +13,13 @@
 //!   graph census — even though the least solution's *sets* are
 //!   order-independent. The only way to reproduce a from-scratch solve's
 //!   observables byte-for-byte is to *be* a from-scratch solve: the session
-//!   keeps the canonical constraint sequence (live groups in slot order) and
-//!   replays it into a fresh solver. Cost is bounded by the solver, not the
-//!   session.
+//!   keeps the canonical constraint sequence (live groups in slot order),
+//!   resets the live solver in place ([`Solver::reset`] forgets every
+//!   constraint but keeps the registrations and the buffers) and replays the
+//!   sequence into it. A reset solver is observably identical to a new one,
+//!   so the replay is a from-scratch solve that does not regrow its
+//!   adjacency lists, worklist and forwarding table from empty. Cost is
+//!   bounded by the solver, not the session.
 //! - **Least-solution revalidation** for both paths. Whatever produced the
 //!   solved graph, the expensive part of serving is evaluating equation (1)
 //!   over it. The session's [`Revalidator`] compares the new canonical CSR
@@ -40,9 +44,9 @@
 //! # Limitations
 //!
 //! Oracle-partitioned configurations (`Solver::with_oracle`) are not
-//! supported: the oracle aliases variable creations, which breaks the
-//! session's assumption that its `Problem` recording and its live solver
-//! issue numerically identical identifiers.
+//! supported: the oracle aliases variable creations per a partition
+//! computed from one constraint set, which a replay of a different set
+//! would not reproduce, and [`Solver::reset`] panics on an oracle solver.
 
 use bane_core::graph::GraphCensus;
 use bane_core::least::{LeastSolution, RevalidateOutcome, Revalidator};
@@ -154,8 +158,8 @@ fn feed_tagged(
 /// Monotone deltas always feed the live solver; the mode only decides what
 /// a `RemoveGroup`/`EditGroup` costs and what it promises:
 ///
-/// - [`Exact`](ApplyMode::Exact) (the default) replays the canonical
-///   sequence into a fresh solver: `stats()`, `census()` and
+/// - [`Exact`](ApplyMode::Exact) (the default) resets the live solver and
+///   replays the canonical sequence into it: `stats()`, `census()` and
 ///   `inconsistencies()` are **byte-identical** to a from-scratch solve.
 /// - [`Fast`](ApplyMode::Fast) repairs the least solution in place: the
 ///   solver tracks constraint provenance at sub-group granularity (256
@@ -188,6 +192,17 @@ impl ApplyMode {
             ApplyMode::Fast => "fast",
         }
     }
+}
+
+/// Why a batch op may not name a group (see `Session::group_fault`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GroupFault {
+    /// No slot has that id.
+    Missing,
+    /// An earlier commit removed the group.
+    Removed,
+    /// An earlier op of the same batch removes the group.
+    DroppedInBatch,
 }
 
 /// What one [`Session::apply`] call did.
@@ -240,14 +255,12 @@ pub struct ApplyReport {
 /// ```
 #[derive(Debug)]
 pub struct Session {
-    /// Registration state only (constructors, interned terms, variable
-    /// count). Its constraint list is kept **empty**; the canonical
-    /// sequence lives in `groups`.
-    problem: Problem,
     /// Slot-indexed constraint groups; `None` marks a removed group. The
     /// canonical constraint sequence is the concatenation of the live
     /// groups in slot order.
     groups: Vec<Option<LiveGroup>>,
+    /// The live solver. It holds the registrations (constructors, terms,
+    /// variables) too: a replay resets it in place, which keeps them.
     solver: Solver,
     /// The least solution and CSR of the last commit, and the pass that
     /// revalidates them against the next one.
@@ -273,7 +286,6 @@ impl Session {
             solver.enable_provenance();
         }
         Session {
-            problem: Problem::new(config),
             groups: Vec::new(),
             solver,
             least: Revalidator::new(),
@@ -293,13 +305,12 @@ impl Session {
         let constraints = problem.split_off_constraints(0);
         // The problem's constraint list was just split off, so the adopted
         // solver replays registrations only — provenance can still attach.
-        let mut solver = Solver::from_problem(problem.clone());
+        let mut solver = Solver::from_problem(problem);
         if mode == ApplyMode::Fast {
             solver.enable_provenance();
         }
         let mut session = Session {
             solver,
-            problem,
             groups: Vec::new(),
             least: Revalidator::new(),
             staged: false,
@@ -348,19 +359,67 @@ impl Session {
         self.groups.get(g.index()).and_then(|s| s.as_ref()).map(|lg| lg.constraints.as_slice())
     }
 
+    /// Why a `RemoveGroup` or `EditGroup` of `g` may not follow the ops
+    /// `earlier` of its batch when `slots` group slots exist at that point,
+    /// or `None` if it may. The one group check behind both
+    /// [`apply`](Session::apply) and the wire protocol's `drop`/`edit`.
+    pub(crate) fn group_fault(
+        &self,
+        g: GroupId,
+        slots: usize,
+        earlier: &[DeltaOp],
+    ) -> Option<GroupFault> {
+        if g.index() >= slots {
+            Some(GroupFault::Missing)
+        } else if matches!(self.groups.get(g.index()), Some(None)) {
+            Some(GroupFault::Removed)
+        } else if earlier.contains(&DeltaOp::RemoveGroup(g)) {
+            Some(GroupFault::DroppedInBatch)
+        } else {
+            None
+        }
+    }
+
+    /// Panics, before anything changes, if an op of `delta` names a group
+    /// that does not exist or is removed by the time the op runs. A group an
+    /// earlier `AddGroup` of the batch creates counts as existing.
+    fn validate(&self, delta: &Delta) {
+        let ops = delta.ops();
+        let mut slots = self.groups.len();
+        for (i, op) in ops.iter().enumerate() {
+            let (g, removing) = match op {
+                DeltaOp::AddVars(_) => continue,
+                DeltaOp::AddGroup { .. } => {
+                    slots += 1;
+                    continue;
+                }
+                DeltaOp::RemoveGroup(g) => (*g, true),
+                DeltaOp::EditGroup { group, .. } => (*group, false),
+            };
+            match self.group_fault(g, slots, &ops[..i]) {
+                None => {}
+                Some(GroupFault::Missing) => panic!("no such group: {g}"),
+                Some(_) if removing => panic!("group already removed: {g}"),
+                Some(_) => panic!("cannot edit removed group: {g}"),
+            }
+        }
+    }
+
     /// Applies one [`Delta`] batch and re-solves.
     ///
     /// Monotone batches feed the live solver and re-run closure from the
-    /// current graph; non-monotone batches rebuild a fresh solver from the
-    /// canonical sequence (see the [module docs](self) for why). Both paths
-    /// then revalidate the least solution against the previous commit's,
-    /// recomputing only dirty variables.
+    /// current graph; non-monotone batches reset the live solver and replay
+    /// the canonical sequence into it (see the [module docs](self) for
+    /// why). Both paths then revalidate the least solution against the
+    /// previous commit's, recomputing only dirty variables.
     ///
     /// # Panics
     ///
     /// Panics if the batch names a [`GroupId`] that does not exist or was
-    /// already removed.
+    /// already removed. The whole batch is checked before anything changes,
+    /// so a session that panics here still answers as it did before.
     pub fn apply(&mut self, delta: Delta) -> ApplyReport {
+        self.validate(&delta);
         let t0 = self.rec.as_ref().map(|_| std::time::Instant::now());
         let monotone = delta.is_monotone();
         let mut new_groups = Vec::new();
@@ -373,9 +432,7 @@ impl Session {
                 match op {
                     DeltaOp::AddVars(n) => {
                         for _ in 0..*n {
-                            let a = ConstraintBuilder::fresh_var(&mut self.problem);
-                            let b = self.solver.fresh_var();
-                            debug_assert_eq!(a, b);
+                            self.solver.fresh_var();
                         }
                     }
                     DeltaOp::AddGroup { constraints } => {
@@ -393,20 +450,18 @@ impl Session {
             // One bookkeeping pass over the ops, collecting the retraction
             // set at provenance-atom granularity — whole slots for
             // `RemoveGroup`, the multiset diff for `EditGroup` (surviving
-            // constraints keep their atoms and are not retracted). The tier
-            // decision needs the full set, and the live solver must not see
-            // new variables before that decision, so solver-side var syncs
-            // are deferred.
+            // constraints keep their atoms and are not retracted). New
+            // variables go straight to the solver: repair and replay both
+            // keep every variable it has.
             let mut retract_atoms: Vec<u32> = Vec::new();
             // Constraint occurrences this batch adds, with their atoms: what
             // a repair that retracts nothing feeds.
             let mut fresh: Vec<(SetExpr, SetExpr, u32)> = Vec::new();
-            let mut new_vars: Vec<Var> = Vec::new();
             for op in delta.ops() {
                 match op {
                     DeltaOp::AddVars(n) => {
                         for _ in 0..*n {
-                            new_vars.push(ConstraintBuilder::fresh_var(&mut self.problem));
+                            self.solver.fresh_var();
                         }
                     }
                     DeltaOp::AddGroup { constraints } => {
@@ -417,22 +472,11 @@ impl Session {
                         self.groups.push(Some(group));
                     }
                     DeltaOp::RemoveGroup(g) => {
-                        let slot = self
-                            .groups
-                            .get_mut(g.index())
-                            .unwrap_or_else(|| panic!("no such group: {g}"));
-                        let taken = slot.take();
-                        assert!(taken.is_some(), "group already removed: {g}");
-                        retract_atoms.extend(taken.expect("just checked").atoms);
+                        let taken = self.groups[g.index()].take().expect("validated");
+                        retract_atoms.extend(taken.atoms);
                     }
                     DeltaOp::EditGroup { group: g, constraints } => {
-                        let slot = self
-                            .groups
-                            .get_mut(g.index())
-                            .unwrap_or_else(|| panic!("no such group: {g}"));
-                        let lg = slot
-                            .as_mut()
-                            .unwrap_or_else(|| panic!("cannot edit removed group: {g}"));
+                        let lg = self.groups[g.index()].as_mut().expect("validated");
                         let removed = lg.rebind(g.index() as u32, constraints.clone(), &mut fresh);
                         retract_atoms.extend(removed);
                     }
@@ -446,13 +490,7 @@ impl Session {
                 ApplyMode::Exact => None,
             };
             if let Some(edges) = retracted {
-                // The live solver survives: sync the deferred variables and
-                // repair.
                 retracted_edges = edges;
-                for &v in &new_vars {
-                    let b = self.solver.fresh_var();
-                    debug_assert_eq!(v, b);
-                }
                 self.repair(&retract_atoms, fresh);
                 fast_repaired = true;
             } else {
@@ -489,9 +527,9 @@ impl Session {
         ApplyReport { new_groups, monotone, fast_repaired, outcome }
     }
 
-    /// Rebuilds the live solver from scratch over the canonical sequence,
-    /// making *all* observables (work counters, census) byte-identical to a
-    /// from-scratch solve — the reset clients call after a run of monotone
+    /// Replays the canonical sequence into the reset live solver, making
+    /// *all* observables (work counters, census) byte-identical to a
+    /// from-scratch solve — what clients call after a run of monotone
     /// batches when they need full parity, not just equal sets.
     ///
     /// The least solution is revalidated, not recomputed: unchanged
@@ -503,26 +541,20 @@ impl Session {
         outcome
     }
 
-    /// Replaces the live solver with a fresh solve of the canonical
-    /// sequence.
+    /// Re-solves the canonical sequence from scratch in the live solver:
+    /// [`Solver::reset`] forgets every constraint and derived fact but keeps
+    /// the registrations and the solver's buffers, then every live group is
+    /// fed in slot order and solved. The result is byte-identical to
+    /// `Solver::from_problem` of the same registrations and sequence.
     ///
-    /// In [`ApplyMode::Fast`] the rebuilt solver re-enables provenance and
-    /// re-tags every live group, so the very next non-monotone delta can
+    /// In [`ApplyMode::Fast`] the reset solver keeps provenance on and every
+    /// live group is re-tagged, so the very next non-monotone delta can
     /// again attempt in-place repair — a fallback is a one-batch event, not
     /// a permanent downgrade. Tracking provenance is observable-neutral
     /// (see `bane-core`'s `provenance_tracking_is_observable_neutral`), so
     /// even the Fast replay is byte-identical to an Exact one.
     fn replay(&mut self) {
-        // Drop the old solver before the new one solves, so the solve
-        // reuses its memory: freeing it after the solve measured +7% RSS
-        // and a 20x p90 read latency on the `edit-exact` benchmark.
-        self.solver = Solver::from_problem(self.problem.clone());
-        if self.mode == ApplyMode::Fast {
-            self.solver.enable_provenance();
-        }
-        if self.rec.is_some() {
-            self.solver.enable_obs();
-        }
+        self.solver.reset();
         for group in self.groups.iter().flatten() {
             group.feed(&mut self.solver);
         }
@@ -719,33 +751,19 @@ impl Session {
 
 impl ConstraintBuilder for Session {
     fn register_con(&mut self, name: impl Into<String>, variances: Vec<Variance>) -> Con {
-        let name = name.into();
-        let a = ConstraintBuilder::register_con(&mut self.problem, name.clone(), variances.clone());
-        let b = self.solver.register_con(name, variances);
-        debug_assert_eq!(a, b);
-        a
+        self.solver.register_con(name, variances)
     }
 
     fn register_nullary(&mut self, name: impl Into<String>) -> Con {
-        let name = name.into();
-        let a = ConstraintBuilder::register_nullary(&mut self.problem, name.clone());
-        let b = self.solver.register_nullary(name);
-        debug_assert_eq!(a, b);
-        a
+        self.solver.register_nullary(name)
     }
 
     fn term(&mut self, con: Con, args: Vec<SetExpr>) -> TermId {
-        let a = ConstraintBuilder::term(&mut self.problem, con, args.clone());
-        let b = self.solver.term(con, args);
-        debug_assert_eq!(a, b);
-        a
+        self.solver.term(con, args)
     }
 
     fn fresh_var(&mut self) -> Var {
-        let a = ConstraintBuilder::fresh_var(&mut self.problem);
-        let b = self.solver.fresh_var();
-        debug_assert_eq!(a, b);
-        a
+        self.solver.fresh_var()
     }
 
     /// Adds a single immediate constraint as its own one-constraint group

@@ -209,6 +209,14 @@ impl<E: EpochStamp> EpochSetImpl<E> {
         self.resets
     }
 
+    /// Returns to the state of a new set of the same capacity: no marks,
+    /// the first epoch and no resets counted. Keeps the stamp buffer.
+    pub fn clear(&mut self) {
+        self.stamps.fill(E::default());
+        self.epoch = E::ONE;
+        self.resets = 0;
+    }
+
     /// Grows the domain to hold elements `0..capacity`.
     ///
     /// Safe mid-generation: new slots get the `E::default()` "never marked"
